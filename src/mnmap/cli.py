@@ -2,7 +2,8 @@
 call; output is byte-deterministic for a fixed command line.
 
 Exit codes: 0 success (or verification passed / braid trivial), 1 verification
-failed or braid nontrivial, 2 usage or parse error.
+failed or braid nontrivial, 2 usage or parse error, 3 inconclusive (a word
+problem overran the handle-reduction step cap or the Artin image budget).
 
 For pk / mn / search / defect, --n is the codomain strand count; the word
 argument lives on n+1 strands.
@@ -165,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (reps.ReductionCapError, reps.ArtinBudgetError) as err:
+        print(f"error: inconclusive: {err}", file=sys.stderr)
+        return 3
     if output:
         print(output)
     return code

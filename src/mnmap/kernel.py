@@ -21,14 +21,24 @@ separately by handle reduction (never assumed).
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 
+from . import maps, reps
 from .laurent import PolyMatrix
 from .maps import mn_map
 from .reps import burau, is_trivial_braid
-from .words import Letter, SIGMA, Word, WordError, classical, parse_word, sigma
+from .words import (
+    Letter,
+    SIGMA,
+    Word,
+    WordError,
+    classical,
+    cylindrical,
+    parse_word,
+    sigma,
+    vcb,
+)
 
 SEARCH_MAX_LEN = 12
 SEARCH_MAX_ALPHABET = 12
@@ -140,8 +150,13 @@ def verify_theorem2(m: int, k: int) -> VerificationReport:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """A freely reduced word whose composite image re-verified as the
-    identity matrix."""
+    """A freely reduced word whose composite image is the identity matrix.
+    verified records a second evaluation of that image by an independent
+    matrix computation: the generic product of the rho_letter matrices of
+    the whole word's projection and stabilization, instead of rho_word's
+    column operations.  Both evaluations start from the same letter-wise
+    substitution (pk_letter_image and stabilize_fd), so an error in that
+    table would pass both."""
 
     word: Word
     verified: bool
@@ -156,15 +171,61 @@ def _supported_indices(n: int, k: int) -> list[int]:
     return supported
 
 
-def _reduced_words(alphabet: list[Letter], length: int):
-    """Freely reduced words of exactly this length, in lexicographic order
-    of alphabet position."""
-    for ranks in product(range(len(alphabet)), repeat=length):
-        letters = tuple(alphabet[r] for r in ranks)
-        if any(letters[j + 1] == letters[j].inverse()
-               for j in range(length - 1)):
+def _pure_reduced_ranks(alphabet: list[Letter], n_strands: int,
+                        max_len: int) -> list[list[tuple[int, ...]]]:
+    """Rank tuples of the freely reduced pure words of length 1..max_len,
+    bucketed by length, each bucket in lexicographic rank order.
+
+    An iterative depth-first walk over freely reduced prefixes.  It carries
+    the prefix's strand permutation as a list (images[j] is Word.permutation
+    at j+1) and its inversion count, which is 0 exactly when the prefix is
+    pure.  Each crossing changes the inversion count by exactly one, so a
+    prefix with c inversions needs at least c more letters to become pure;
+    subtrees that cannot get there within max_len are never entered.  The
+    alphabet alternates sigma_i, sigma_i^-1, so the inverse of rank r is
+    r ^ 1.
+    """
+    size = len(alphabet)
+    swap_at = [letter.index - 1 for letter in alphabet]
+    images = list(range(1, n_strands + 1))
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
+    ranks: list[int] = []
+    next_rank = [0]  # next rank to try at each depth of the walk
+    inversions = 0
+    while next_rank:
+        r = next_rank[-1]
+        if r == size:
+            next_rank.pop()
+            if ranks:  # undo the last letter
+                a = swap_at[ranks.pop()]
+                inversions += 1 if images[a] < images[a + 1] else -1
+                images[a], images[a + 1] = images[a + 1], images[a]
             continue
-        yield letters
+        next_rank[-1] = r + 1
+        if ranks and r == ranks[-1] ^ 1:
+            continue
+        a = swap_at[r]
+        inversions += 1 if images[a] < images[a + 1] else -1
+        images[a], images[a + 1] = images[a + 1], images[a]
+        ranks.append(r)
+        if inversions == 0:
+            buckets[len(ranks)].append(tuple(ranks))
+        # a pure extension needs >= inversions more letters, and >= 2 if
+        # none; where none fits, mark the level exhausted so it is undone
+        next_rank.append(0 if max_len - len(ranks) >= (inversions or 2)
+                         else size)
+    return buckets[1:]
+
+
+def _product_is_identity(w: Word, k: int, d: int) -> bool:
+    """Whether the composite image of w is the identity, evaluated as the
+    generic matrix product of the rho_letter images of its whole-word
+    projection and stabilization rather than by rho_word."""
+    image = maps.stabilize_fd(maps.project_pk(w, k), d)
+    product = PolyMatrix.identity(image.n)
+    for letter in image:
+        product = product * reps.rho_letter(letter, image.n)
+    return product.is_identity()
 
 
 def search_kernel(n: int, k: int, d: int, max_len: int,
@@ -173,35 +234,36 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     classical generators on n+1 strands and return those the composite map
     sends to the identity, ordered by (length, lexicographic letter order).
 
-    The result list is deterministic regardless of workers.
+    A candidate's image is rho of the concatenated stabilized letter
+    images, which is mn_map applied letter-wise; each hit is re-verified
+    by _product_is_identity.  workers is accepted and ignored: the search
+    runs in the calling thread and its result never depended on it.
     """
     if max_len > SEARCH_MAX_LEN:
         raise ValueError(f"max_len capped at {SEARCH_MAX_LEN}, got {max_len}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if not 1 <= k <= n + 1:
+        raise ValueError(f"k must be in 1..{n + 1}, got {k}")
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
     alphabet = [l for i in _supported_indices(n, k)
                 for l in (sigma(i), sigma(i, -1))]
     if len(alphabet) > SEARCH_MAX_ALPHABET:
         raise ValueError(
             f"alphabet of {len(alphabet)} symbols exceeds the cap of "
             f"{SEARCH_MAX_ALPHABET}")
-    flavor = classical(n + 1)
-    candidates = []
-    for length in range(1, max_len + 1):
-        for letters in _reduced_words(alphabet, length):
-            word = Word(flavor, letters)
-            if word.is_pure():
-                candidates.append(word)
-
-    def image_is_identity(word: Word) -> bool:
-        return mn_map(word, k=k, d=d).is_identity()
-
-    if workers > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = [w for w, ok in zip(candidates,
-                                       pool.map(image_is_identity, candidates))
-                    if ok]
-    else:
-        hits = [w for w in candidates if image_is_identity(w)]
-    return [SearchResult(word=w,
-                         verified=image_is_identity(w),
-                         freely_trivial=False)
-            for w in hits]
+    cyl, target, domain = cylindrical(n), vcb(n), classical(n + 1)
+    images = [maps.stabilize_fd(Word(cyl, maps.pk_letter_image(
+                  letter.index, letter.sign, k, n)), d).letters
+              for letter in alphabet]
+    results = []
+    for bucket in _pure_reduced_ranks(alphabet, n + 1, max_len):
+        for ranks in bucket:
+            letters = tuple(chain.from_iterable(images[r] for r in ranks))
+            if reps.rho_word(Word(target, letters)).is_identity():
+                word = Word(domain, tuple(alphabet[r] for r in ranks))
+                results.append(SearchResult(
+                    word=word, verified=_product_is_identity(word, k, d),
+                    freely_trivial=False))
+    return results

@@ -139,6 +139,8 @@ def cancellation_defect(i: int, k: int, n: int, d: int) -> PolyMatrix:
     """
     if not 1 <= i <= n:
         raise ValueError(f"generator index must be in 1..{n}, got {i}")
+    if not 1 <= k <= n + 1:
+        raise ValueError(f"k must be in 1..{n + 1}, got {k}")
     pair = pk_letter_image(i, 1, k, n) + pk_letter_image(i, -1, k, n)
     word = Word(cylindrical(n), pair)
     return rho_word(stabilize_fd(word, d))

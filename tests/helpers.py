@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import hypothesis.strategies as st
 
+from mnmap.maps import mn_map
 from mnmap.words import (
     CLASSICAL,
     CYLINDRICAL,
@@ -15,6 +17,7 @@ from mnmap.words import (
     TAU,
     Word,
     ZETA,
+    classical,
     parse_word,
     sigma,
     tau,
@@ -119,3 +122,22 @@ def relation_identities(n: int) -> list[tuple[str, Word, Word]]:
                            w(zeta(), tau(i), zeta(-1)), w(tau(i - 1))))
     identities.append((f"zeta^{n} n={n}", w(*([zeta()] * n)), w()))
     return identities
+
+
+def reference_search(n: int, k: int, d: int, max_len: int) -> list[Word]:
+    """Brute-force kernel search: every string over the supported letters,
+    filtered for free reduction, purity and an identity image, in (length,
+    lexicographic alphabet rank) order."""
+    supported = [i for i in range(1, n + 1)
+                 if i in (k - 1, k) or 1 <= k - i - 1 <= n - 1]
+    alphabet = [l for i in supported for l in (sigma(i), sigma(i, -1))]
+    hits = []
+    for length in range(1, max_len + 1):
+        for letters in product(alphabet, repeat=length):
+            if any(letters[j + 1] == letters[j].inverse()
+                   for j in range(length - 1)):
+                continue
+            word = Word(classical(n + 1), letters)
+            if word.is_pure() and mn_map(word, k, d).is_identity():
+                hits.append(word)
+    return hits

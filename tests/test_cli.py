@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mnmap import reps
 from mnmap.cli import main
 from mnmap.laurent import PolyMatrix
 from mnmap.maps import mn_map
@@ -143,3 +144,32 @@ class TestErrors:
     def test_verify_thm2_bad_k(self, capsys):
         code, _, err = run(capsys, "verify-thm2", "--m", "1", "--k", "9")
         assert code == 2 and "error:" in err
+
+    def test_search_bad_k(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "3", "--k", "0", "--d",
+                             "1", "--max-len", "4")
+        assert code == 2 and out == "" and "k must be in 1..4" in err
+
+    def test_search_bad_d(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "2", "--k", "1", "--d",
+                             "0", "--max-len", "1")
+        assert code == 2 and out == "" and "positive" in err
+
+    def test_defect_bad_k(self, capsys):
+        code, _, err = run(capsys, "defect", "--i", "1", "--k", "50", "--n",
+                           "3", "--d", "1")
+        assert code == 2 and "k must be in 1..4" in err
+
+
+class TestInconclusive:
+    @pytest.mark.parametrize("error", [reps.ReductionCapError,
+                                       reps.ArtinBudgetError])
+    def test_cap_overrun_exits_3(self, capsys, monkeypatch, error):
+        def overrun(*args, **kwargs):
+            raise error("cap exceeded")
+
+        monkeypatch.setattr(reps, "is_trivial_braid", overrun)
+        code, out, err = run(capsys, "trivial", "--n", "3", "s1 s1^-1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

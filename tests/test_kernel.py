@@ -1,7 +1,10 @@
 import json
+import random
 
 import pytest
 
+from helpers import random_pure_word, reference_search
+from mnmap import kernel
 from mnmap.kernel import (
     SearchResult,
     bigelow_alpha,
@@ -10,9 +13,17 @@ from mnmap.kernel import (
     verify_theorem1,
     verify_theorem2,
 )
-from mnmap.maps import project_pk
+from mnmap.maps import mn_map, project_pk
 from mnmap.reps import ArtinBudgetError, artin_apply, burau, is_trivial_braid
-from mnmap.words import Word, WordError, classical, cylindrical, parse_word, sigma
+from mnmap.words import (
+    CLASSICAL,
+    Word,
+    WordError,
+    classical,
+    cylindrical,
+    parse_word,
+    sigma,
+)
 
 
 class TestWitness:
@@ -142,3 +153,51 @@ class TestSearch:
     def test_alphabet_cap(self):
         with pytest.raises(ValueError):
             search_kernel(n=7, k=8, d=1, max_len=2)
+
+    @pytest.mark.parametrize("n,k,d", [(3, 0, 1), (3, 5, 1), (3, 50, 1),
+                                       (2, 1, 0), (2, 1, -1), (0, 1, 1)])
+    def test_parameters_validated_before_enumerating(self, n, k, d):
+        with pytest.raises(ValueError):
+            search_kernel(n=n, k=k, d=d, max_len=1)
+
+    @pytest.mark.parametrize("n,max_len", [(2, 5), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_brute_force_reference(self, n, max_len, d):
+        for k in range(1, n + 2):
+            found = [r.word for r in search_kernel(n, k, d, max_len)]
+            assert found == reference_search(n, k, d, max_len), (n, k, d)
+
+    def test_classical_words_built_only_for_hits(self, monkeypatch):
+        built = []
+        original = Word.__post_init__
+
+        def counting(self):
+            if self.flavor.group == CLASSICAL:
+                built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        results = search_kernel(n=3, k=2, d=1, max_len=6)
+        assert len(results) == 50
+        assert built == [r.word for r in results]
+
+
+class TestReverification:
+    def test_independent_product_agrees_with_mn_map(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            k = rng.randint(1, n + 1)
+            d = rng.randint(1, 3)
+            w = random_pure_word(rng, classical(n + 1), rng.randint(1, 3))
+            try:
+                expected = mn_map(w, k, d).is_identity()
+            except ValueError:  # a letter outside the case table
+                continue
+            assert kernel._product_is_identity(w, k, d) == expected
+
+    def test_rejects_a_pure_word_outside_the_kernel(self):
+        w = parse_word("s1^2", classical(3))
+        assert not kernel._product_is_identity(w, 1, 1)
+        assert kernel._product_is_identity(parse_word("s1^-2", classical(3)),
+                                           1, 1)

@@ -193,6 +193,11 @@ class TestCancellationDefect:
         with pytest.raises(UnsupportedLetterError):
             cancellation_defect(2, 1, 2, 1)
 
+    def test_k_validation(self):
+        for k in (0, 5, 50):
+            with pytest.raises(ValueError, match=r"k must be in 1\.\.4"):
+                cancellation_defect(1, k, 3, 1)
+
     def test_pk_letter_image_cases(self):
         assert pk_letter_image(5, 1, 6, 5) == (zeta(-1),)
         assert pk_letter_image(6, -1, 6, 5) == (zeta(),)
