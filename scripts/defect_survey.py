@@ -10,6 +10,7 @@ matrices for inspection.
 import argparse
 
 from mnmap import cancellation_defect
+from mnmap.maps import pk_supports
 
 
 def main() -> None:
@@ -22,9 +23,9 @@ def main() -> None:
         for k in range(1, n + 2):
             for d in range(1, args.max_d + 1):
                 for i in range(1, n + 1):
+                    if not pk_supports(i, k, n):
+                        continue  # no image under the case table
                     distinguished = i in (k - 1, k)
-                    if not distinguished and not 1 <= k - i - 1 <= n - 1:
-                        continue  # unsupported: no image under the case table
                     defect = cancellation_defect(i, k, n, d)
                     if defect.is_identity():
                         status = "identity"

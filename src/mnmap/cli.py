@@ -15,7 +15,6 @@ import json
 import sys
 
 from . import kernel, maps, reps, words
-from .words import WordError
 
 _FLAVORS = {
     "classical": words.classical,
@@ -159,11 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code, output = _run(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (WordError, maps.PurityError, maps.UnsupportedLetterError,
-            ValueError) as err:
+    except (UsageError, ValueError) as err:  # word, purity, support errors
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (reps.ReductionCapError, reps.ArtinBudgetError) as err:

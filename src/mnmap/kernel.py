@@ -163,14 +163,6 @@ class SearchResult:
     freely_trivial: bool
 
 
-def _supported_indices(n: int, k: int) -> list[int]:
-    supported = []
-    for i in range(1, n + 1):
-        if i in (k - 1, k) or 1 <= k - i - 1 <= n - 1:
-            supported.append(i)
-    return supported
-
-
 def _pure_reduced_ranks(alphabet: list[Letter], n_strands: int,
                         max_len: int) -> list[list[tuple[int, ...]]]:
     """Rank tuples of the freely reduced pure words of length 1..max_len,
@@ -247,7 +239,7 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    alphabet = [l for i in _supported_indices(n, k)
+    alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
                 for l in (sigma(i), sigma(i, -1))]
     if len(alphabet) > SEARCH_MAX_ALPHABET:
         raise ValueError(

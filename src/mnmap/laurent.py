@@ -19,12 +19,8 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self._terms: dict[tuple[int, int], int] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff != 0:
-                    self._terms[key] = self._terms.get(key, 0) + coeff
-            self._terms = {k: c for k, c in self._terms.items() if c != 0}
+        self._terms: dict[tuple[int, int], int] = {
+            key: coeff for key, coeff in (terms or {}).items() if coeff != 0}
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -179,7 +175,8 @@ S = LaurentPoly.monomial(1, 0, 1)
 T_INV = LaurentPoly.monomial(1, -1, 0)
 S_INV = LaurentPoly.monomial(1, 0, -1)
 
-# Cofactor expansion is exponential; every matrix in this artifact is small.
+# The determinant computes every minor of the bottom rows once: n * 2^(n-1)
+# polynomial products, still exponential, so inputs stay small.
 DET_DIMENSION_CAP = 8
 
 
@@ -244,7 +241,8 @@ class PolyMatrix:
         return PolyMatrix(tuple(zip(*self.rows)))
 
     def det(self) -> LaurentPoly:
-        """Exact determinant by cofactor expansion (dimension capped)."""
+        """Exact determinant by Laplace expansion with each minor computed
+        once (dimension capped)."""
         if self.n > DET_DIMENSION_CAP:
             raise ValueError(
                 f"determinant capped at dimension {DET_DIMENSION_CAP}")
@@ -279,14 +277,21 @@ class PolyMatrix:
 
 
 def _det(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero()
-    for j, entry in enumerate(rows[0]):
-        if not entry:
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-        cofactor = entry * _det(minor)
-        total = total + (cofactor if j % 2 == 0 else -cofactor)
-    return total
+    """Expand row by row from the bottom.  minors[mask] is the determinant of
+    the rows processed so far restricted to the columns in mask; prepending
+    a row expands along it, with sign (-1)^(columns of mask left of j)."""
+    minors = {0: ONE}
+    for row in reversed(rows):
+        extended: dict[int, LaurentPoly] = {}
+        for mask, minor in minors.items():
+            negative = False
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if mask & bit:
+                    negative = not negative
+                elif entry:
+                    term = entry * minor
+                    extended[mask | bit] = extended.get(mask | bit, ZERO) + (
+                        -term if negative else term)
+        minors = {mask: minor for mask, minor in extended.items() if minor}
+    return minors.get((1 << len(rows)) - 1, ZERO)

@@ -25,8 +25,10 @@ from .reps import rho_word
 from .words import (
     CLASSICAL,
     CYLINDRICAL,
+    MAX_WORD_LETTERS,
     Letter,
     SIGMA,
+    ZETA,
     Word,
     WordError,
     cylindrical,
@@ -61,19 +63,24 @@ def _delta_v_letters(n: int) -> tuple[Letter, ...]:
     return tuple(tau(i) for i in range(1, n))
 
 
+def pk_supports(i: int, k: int, n: int) -> bool:
+    """Whether the case table gives sigma_i an image: i is distinguished
+    (k-1 or k), or its target k-i-1 lies in 1..n-1."""
+    return i in (k - 1, k) or 1 <= k - i - 1 <= n - 1
+
+
 def pk_letter_image(index: int, sign: int, k: int, n: int
                     ) -> tuple[Letter, ...]:
     """Image of sigma_index^sign in the cylindrical group on n strands."""
+    if not pk_supports(index, k, n):
+        raise UnsupportedLetterError(
+            f"sigma_{index} maps to index {k - index - 1}, outside 1..{n - 1}",
+            position=-1, letter=sigma(index, sign))
     if index == k - 1:
         return (zeta(-1),) if sign == 1 else _delta_c_letters(n)
     if index == k:
         return _delta_c_letters(n, -1) if sign == 1 else (zeta(),)
-    target = k - index - 1
-    if not 1 <= target <= n - 1:
-        raise UnsupportedLetterError(
-            f"sigma_{index} maps to index {target}, outside 1..{n - 1}",
-            position=-1, letter=sigma(index, sign))
-    return (sigma(target, sign),)
+    return (sigma(k - index - 1, sign),)
 
 
 def project_pk(w: Word, k: int) -> Word:
@@ -107,13 +114,19 @@ def _zeta_image_letters(n: int, d: int) -> tuple[Letter, ...]:
 def stabilize_fd(w: Word, d: int) -> Word:
     """Stabilization of a cylindrical word into the virtual cylindrical
     group: classical crossings verbatim, the cyclic shift wound d times
-    through virtual crossings."""
+    through virtual crossings.  The result is capped at MAX_WORD_LETTERS
+    letters, checked before it is built."""
     if w.flavor.group != CYLINDRICAL:
         raise WordError(f"stabilize_fd expects a cylindrical word, got {w.flavor!r}")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     n = w.n
-    zimg = _zeta_image_letters(n, d)
+    zetas = sum(letter.kind == ZETA for letter in w)
+    size = len(w) + zetas * (d - 1) * n  # each zeta becomes (d-1)n+1 letters
+    if size > MAX_WORD_LETTERS:
+        raise ValueError(f"stabilized word would have {size} letters, over "
+                         f"the cap of {MAX_WORD_LETTERS}")
+    zimg = _zeta_image_letters(n, d) if zetas else ()
     zimg_inv = tuple(l.inverse() for l in reversed(zimg))
     letters: list[Letter] = []
     for letter in w:

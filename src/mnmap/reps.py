@@ -18,8 +18,10 @@ map under free reduction a property of the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
-from .laurent import ONE, S, S_INV, T, T_INV, LaurentPoly, PolyMatrix
+from .laurent import ONE, S, S_INV, T, T_INV, ZERO, LaurentPoly, PolyMatrix
 from .words import CLASSICAL, SIGMA, TAU, ZETA, Letter, Word, WordError
 
 DEFAULT_ARTIN_BUDGET = 2 ** 16
@@ -62,9 +64,8 @@ def rho_word(w: Word) -> PolyMatrix:
     product.
     """
     n = w.n
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
     cols: list[list[LaurentPoly]] = [
-        [one if i == j else zero for i in range(n)] for j in range(n)]
+        [ONE if i == j else ZERO for i in range(n)] for j in range(n)]
     for letter in w:
         if letter.kind == ZETA:
             if letter.sign == 1:
@@ -80,15 +81,12 @@ def rho_word(w: Word) -> PolyMatrix:
         if letter.kind == TAU:
             cols[a] = [p * S_INV for p in col_b]
             cols[b] = [p * S for p in col_a]
-        elif letter.sign == 1:
-            one_minus_t = ONE - T
-            cols[a] = [col_a[i] * one_minus_t + col_b[i] for i in range(n)]
+        elif letter.sign == 1:  # b' = t a, a' = (1-t) a + b = a + b - b'
             cols[b] = [p * T for p in col_a]
-        else:
-            one_minus_tinv = ONE - T_INV
+            cols[a] = [p + q - r for p, q, r in zip(col_a, col_b, cols[b])]
+        else:  # a' = t^-1 b, b' = a + (1-t^-1) b = a + b - a'
             cols[a] = [p * T_INV for p in col_b]
-            cols[b] = [col_a[i] + col_b[i] * one_minus_tinv
-                       for i in range(n)]
+            cols[b] = [p + q - r for p, q, r in zip(col_a, col_b, cols[a])]
     return PolyMatrix(zip(*cols))
 
 
@@ -112,16 +110,20 @@ class ArtinBudgetError(RuntimeError):
     reduction."""
 
 
+def _free_reduce(items: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Delete adjacent (i, e) (i, -e) pairs in one stack pass."""
+    stack: list[tuple[int, int]] = []
+    for item in items:
+        if stack and stack[-1] == (item[0], -item[1]):
+            stack.pop()
+        else:
+            stack.append(item)
+    return stack
+
+
 def free_mul(*parts: FreeWord) -> FreeWord:
     """Concatenate free words and freely reduce."""
-    stack: list[tuple[int, int]] = []
-    for part in parts:
-        for gen, sign in part:
-            if stack and stack[-1] == (gen, -sign):
-                stack.pop()
-            else:
-                stack.append((gen, sign))
-    return tuple(stack)
+    return tuple(_free_reduce(chain.from_iterable(parts)))
 
 
 def free_inv(w: FreeWord) -> FreeWord:
@@ -191,16 +193,6 @@ class ReductionCapError(RuntimeError):
     """Step cap exceeded before the reduction terminated (inconclusive)."""
 
 
-def _free_reduce_pairs(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    stack: list[tuple[int, int]] = []
-    for item in letters:
-        if stack and stack[-1] == (item[0], -item[1]):
-            stack.pop()
-        else:
-            stack.append(item)
-    return stack
-
-
 def _first_handle(letters: list[tuple[int, int]]) -> tuple[int, int] | None:
     """Positions (p, q) of the handle with the smallest closing position:
     the leftmost-innermost handle.  Scans once, tracking each generator's
@@ -233,7 +225,7 @@ def handle_reduce(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> Word:
     fixed selection strategy makes runs reproducible."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"handle reduction needs a classical word, got {w.flavor!r}")
-    letters = _free_reduce_pairs([(l.index, l.sign) for l in w])
+    letters = _free_reduce([(l.index, l.sign) for l in w])
     steps = 0
     while True:
         found = _first_handle(letters)
@@ -242,7 +234,7 @@ def handle_reduce(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> Word:
                                         for i, e in letters))
         if steps >= max_steps:
             raise ReductionCapError(f"no terminal word within {max_steps} steps")
-        letters = _free_reduce_pairs(_reduce_handle(letters, *found))
+        letters = _free_reduce(_reduce_handle(letters, *found))
         steps += 1
 
 

@@ -163,18 +163,6 @@ class Permutation:
         return " ".join(f"{i}->{j}" for i, j in enumerate(self.images, 1))
 
 
-def _letter_permutation(letter: Letter, n: int) -> Permutation:
-    if letter.kind == ZETA:
-        if letter.sign == 1:
-            # matches the cyclic-shift matrix at t = s = 1: 1 -> n, j -> j-1
-            return Permutation((n,) + tuple(range(1, n)))
-        return Permutation(tuple(range(2, n + 1)) + (1,))
-    i = letter.index
-    images = list(range(1, n + 1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation(tuple(images))
-
-
 @dataclass(frozen=True)
 class Word:
     """A finite letter sequence in a fixed flavor."""
@@ -227,11 +215,19 @@ class Word:
 
     def permutation(self) -> Permutation:
         """Product of the letters' strand permutations in word order,
-        under (p * q)(x) = p(q(x))."""
-        result = Permutation.identity(self.n)
+        under (p * q)(x) = p(q(x)), walked in place: a crossing at i swaps
+        images i and i+1; zeta (1 -> n, j -> j-1, the cyclic-shift matrix
+        at t = s = 1) rotates the images right, zeta^-1 left."""
+        images = list(range(1, self.n + 1))
         for letter in self.letters:
-            result = result * _letter_permutation(letter, self.n)
-        return result
+            if letter.kind != ZETA:
+                i = letter.index
+                images[i - 1], images[i] = images[i], images[i - 1]
+            elif letter.sign == 1:
+                images.insert(0, images.pop())
+            else:
+                images.append(images.pop(0))
+        return Permutation(tuple(images))
 
     def is_pure(self) -> bool:
         return self.permutation().is_identity()
@@ -262,11 +258,14 @@ def delta_v(n: int) -> Word:
     return Word(vcb(n), tuple(tau(i) for i in range(1, n)))
 
 
+# Longest word that parse_word and maps.stabilize_fd will build.
+MAX_WORD_LETTERS = 10 ** 6
+
 _TOKEN = re.compile(r"([st])([0-9]+)(?:\^(-?[0-9]+))?$|z(?:\^(-?[0-9]+))?$")
 _COMPACT = re.compile(r"-?[0-9]+$")
 
 
-def _parse_token(token: str) -> list[Letter]:
+def _parse_token(token: str) -> tuple[Letter, int]:
     m = _TOKEN.match(token)
     if m is None:
         raise WordError(f"bad token {token!r}")
@@ -281,24 +280,31 @@ def _parse_token(token: str) -> list[Letter]:
     if exponent == 0:
         raise WordError(f"zero exponent in token {token!r}")
     sign = 1 if exponent > 0 else -1
-    return [Letter(kind, index, sign)] * abs(exponent)
+    return Letter(kind, index, sign), abs(exponent)
 
 
 def parse_word(text: str, flavor: Flavor) -> Word:
     """Parse whitespace-separated tokens: s3, t2^-1, z^4, ...  A compact
     classical form is also accepted: signed integers, "1 -2 1" meaning
-    sigma_1 sigma_2^-1 sigma_1.  Exponents expand into repeated letters."""
+    sigma_1 sigma_2^-1 sigma_1.  Exponents expand into repeated letters,
+    at most MAX_WORD_LETTERS in all."""
     tokens = text.split()
-    letters: list[Letter] = []
+    runs: list[tuple[Letter, int]] = []
     if tokens and all(_COMPACT.match(tok) for tok in tokens):
         for tok in tokens:
             v = int(tok)
             if v == 0:
                 raise WordError("0 is not a generator in the compact form")
-            letters.append(sigma(abs(v), 1 if v > 0 else -1))
+            runs.append((sigma(abs(v), 1 if v > 0 else -1), 1))
     else:
-        for tok in tokens:
-            letters.extend(_parse_token(tok))
+        runs = [_parse_token(tok) for tok in tokens]
+    size = sum(count for _, count in runs)
+    if size > MAX_WORD_LETTERS:
+        raise WordError(f"word expands to {size} letters, over the cap of "
+                        f"{MAX_WORD_LETTERS}")
+    letters: list[Letter] = []
+    for letter, count in runs:
+        letters += [letter] * count
     return Word(flavor, tuple(letters))
 
 

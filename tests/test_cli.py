@@ -7,7 +7,7 @@ from mnmap.cli import main
 from mnmap.laurent import PolyMatrix
 from mnmap.maps import mn_map
 from mnmap.reps import rho_word
-from mnmap.words import classical, parse_word, vcb
+from mnmap.words import MAX_WORD_LETTERS, classical, parse_word, vcb
 
 
 def run(capsys, *argv):
@@ -154,6 +154,16 @@ class TestErrors:
         code, out, err = run(capsys, "search", "--n", "2", "--k", "1", "--d",
                              "0", "--max-len", "1")
         assert code == 2 and out == "" and "positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("fd", "--n", "3", "--d", str(MAX_WORD_LETTERS), "z"),
+        ("trivial", "--n", "3", f"s1^{MAX_WORD_LETTERS + 1}"),
+    ])
+    def test_oversized_word(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap" in err
 
     def test_defect_bad_k(self, capsys):
         code, _, err = run(capsys, "defect", "--i", "1", "--k", "50", "--n",

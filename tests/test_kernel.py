@@ -86,6 +86,10 @@ class TestTheorem1:
         with pytest.raises(ValueError):
             verify_theorem1(0)
 
+    def test_huge_d_builds_no_zeta_image(self):
+        # the lifted witness projects to a word without cyclic shifts
+        assert verify_theorem1(10 ** 9).passed
+
     def test_json_shape(self):
         obj = verify_theorem1(1).to_json_obj()
         assert set(obj) == {"witness", "params", "image_is_identity",

@@ -146,12 +146,19 @@ class TestMatrix:
             PolyMatrix.identity(DET_DIMENSION_CAP + 1).det()
         assert PolyMatrix.identity(DET_DIMENSION_CAP).det() == ONE
 
-    @given(st.integers(1, 3), st.data())
+    @given(st.integers(1, 5), st.data())
     def test_det_matches_leibniz(self, n, data):
         rows = [[data.draw(polys_st(max_exp=2, max_coeff=4, max_terms=2))
                  for _ in range(n)] for _ in range(n)]
         matrix = PolyMatrix(rows)
         assert matrix.det() == leibniz_det(matrix)
+        i = data.draw(st.integers(0, n - 1))
+        zero_row = rows[:i] + [[ZERO] * n] + rows[i + 1:]
+        assert PolyMatrix(zero_row).det() == ZERO
+        if n > 1:
+            j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+            equal_rows = rows[:j] + [rows[i]] + rows[j + 1:]
+            assert PolyMatrix(equal_rows).det() == ZERO
 
     def test_specialize(self):
         m = PolyMatrix([[ONE - T, T], [1, 0]])

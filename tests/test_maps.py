@@ -11,11 +11,13 @@ from mnmap.maps import (
     cancellation_defect,
     mn_map,
     pk_letter_image,
+    pk_supports,
     project_pk,
     stabilize_fd,
 )
 from mnmap.reps import rho_word
 from mnmap.words import (
+    MAX_WORD_LETTERS,
     Word,
     WordError,
     classical,
@@ -58,6 +60,17 @@ class TestProject:
         with pytest.raises(UnsupportedLetterError) as exc:
             project_pk(w, 1)
         assert exc.value.position == 0
+
+    def test_supports_matches_case_table(self):
+        for n in range(1, 6):
+            for k in range(1, n + 2):
+                for i in range(1, n + 1):
+                    try:
+                        pk_letter_image(i, 1, k, n)
+                        imaged = True
+                    except UnsupportedLetterError:
+                        imaged = False
+                    assert pk_supports(i, k, n) == imaged
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -121,6 +134,14 @@ class TestStabilize:
     def test_rejects_wrong_flavor(self):
         with pytest.raises(WordError):
             stabilize_fd(parse_word("s1", classical(3)), 1)
+
+    def test_size_cap_checked_before_building(self):
+        n = 3
+        d = MAX_WORD_LETTERS // n + 2  # one zeta image: (d-1)n+1 > cap
+        with pytest.raises(ValueError, match="cap"):
+            stabilize_fd(parse_word("s1 z", cylindrical(n)), d)
+        w = parse_word("s1 s2^-1", cylindrical(n))
+        assert stabilize_fd(w, d) == Word(vcb(n), w.letters)
 
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 4))
     def test_monoid_homomorphism(self, n, d, seed):

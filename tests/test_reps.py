@@ -162,9 +162,12 @@ class TestBurau:
 
     def test_determinant_law(self):
         rng = random.Random(11)
-        for _ in range(15):
-            n = rng.randint(2, 5)
-            w = random_word(rng, classical(n), rng.randint(0, 10))
+        small = [random_word(rng, classical(rng.randint(2, 5)),
+                             rng.randint(0, 10)) for _ in range(15)]
+        # dense 8x8 determinants, out of reach of cofactor expansion
+        dense = [random_word(rng, classical(8), rng.randint(55, 65))
+                 for _ in range(4)]
+        for w in small + dense:
             e = sum(l.sign for l in w)
             expected = LaurentPoly.monomial(-1 if e % 2 else 1, e, 0)
             assert burau(w).det() == expected

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 
 from helpers import word_pairs_st, words_st
+from mnmap import words
 from mnmap.words import (
+    MAX_WORD_LETTERS,
     Letter,
     Permutation,
     Word,
@@ -60,6 +62,18 @@ class TestParse:
     def test_empty(self):
         assert parse_word("", classical(3)).letters == ()
         assert parse_word("   ", classical(3)).letters == ()
+
+    def test_size_cap(self):
+        with pytest.raises(WordError, match="cap"):
+            parse_word(f"s1^{MAX_WORD_LETTERS + 1}", classical(2))
+
+    def test_size_cap_counts_every_token(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 5)
+        assert parse_word("s1^2 s1^-3", classical(2)).letters == (
+            (sigma(1),) * 2 + (sigma(1, -1),) * 3)
+        for text in ("s1^3 s1^-3", "z^6", "1 1 -1 1 1 1"):
+            with pytest.raises(WordError, match="6 letters"):
+                parse_word(text, cylindrical(2))
 
     @given(words_st())
     def test_round_trip(self, w):
