@@ -97,7 +97,16 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            total = terms.get(key, 0) - coeff
+            if total:
+                terms[key] = total
+            else:
+                terms.pop(key, None)
+        result = LaurentPoly.__new__(LaurentPoly)
+        result._terms = terms
+        return result
 
     def __rsub__(self, other: Scalar) -> LaurentPoly:
         return (-self) + other
@@ -120,6 +129,14 @@ class LaurentPoly:
         return result
 
     __rmul__ = __mul__
+
+    def shift(self, dt: int, ds: int) -> LaurentPoly:
+        """The product with t^dt * s^ds: exponent pairs move injectively and
+        coefficients stay, so nothing accumulates or cancels."""
+        result = LaurentPoly.__new__(LaurentPoly)
+        result._terms = {(a + dt, b + ds): c
+                         for (a, b), c in self._terms.items()}
+        return result
 
     def __pow__(self, e: int) -> LaurentPoly:
         if e < 0:

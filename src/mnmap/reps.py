@@ -61,7 +61,8 @@ def rho_word(w: Word) -> PolyMatrix:
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
     which is exact and agrees entry-for-entry with the generic matrix
-    product.
+    product.  Crossings multiply by t^+-1 and s^+-1 as exponent shifts
+    (LaurentPoly.shift), not through the general product.
     """
     n = w.n
     cols: list[list[LaurentPoly]] = [
@@ -79,13 +80,13 @@ def rho_word(w: Word) -> PolyMatrix:
         a, b = k - 1, k
         col_a, col_b = cols[a], cols[b]
         if letter.kind == TAU:
-            cols[a] = [p * S_INV for p in col_b]
-            cols[b] = [p * S for p in col_a]
+            cols[a] = [p.shift(0, -1) for p in col_b]
+            cols[b] = [p.shift(0, 1) for p in col_a]
         elif letter.sign == 1:  # b' = t a, a' = (1-t) a + b = a + b - b'
-            cols[b] = [p * T for p in col_a]
+            cols[b] = [p.shift(1, 0) for p in col_a]
             cols[a] = [p + q - r for p, q, r in zip(col_a, col_b, cols[b])]
         else:  # a' = t^-1 b, b' = a + (1-t^-1) b = a + b - a'
-            cols[a] = [p * T_INV for p in col_b]
+            cols[a] = [p.shift(-1, 0) for p in col_b]
             cols[b] = [p + q - r for p, q, r in zip(col_a, col_b, cols[a])]
     return PolyMatrix(zip(*cols))
 

@@ -261,8 +261,24 @@ def delta_v(n: int) -> Word:
 # Longest word that parse_word and maps.stabilize_fd will build.
 MAX_WORD_LETTERS = 10 ** 6
 
+# Longest number, leading zeros aside, that a token may carry: far above any
+# usable exponent or strand index, and far below the digit count at which
+# int() refuses a string.
+_MAX_DIGITS = 100
+
 _TOKEN = re.compile(r"([st])([0-9]+)(?:\^(-?[0-9]+))?$|z(?:\^(-?[0-9]+))?$")
 _COMPACT = re.compile(r"-?[0-9]+$")
+
+
+def _number(digits: str, token: str) -> int:
+    """int(digits), refusing oversized numbers before converting them."""
+    magnitude = digits.lstrip("-").lstrip("0")
+    if len(magnitude) > _MAX_DIGITS:
+        shown = token if len(token) <= 20 else token[:20] + "..."
+        raise WordError(f"number too large in token {shown!r} "
+                        f"({len(token)} characters)")
+    value = int(magnitude or "0")
+    return -value if digits.startswith("-") else value
 
 
 def _parse_token(token: str) -> tuple[Letter, int]:
@@ -270,13 +286,13 @@ def _parse_token(token: str) -> tuple[Letter, int]:
     if m is None:
         raise WordError(f"bad token {token!r}")
     if m.group(1) is not None:
-        kind, index = m.group(1), int(m.group(2))
+        kind, index = m.group(1), _number(m.group(2), token)
         if index < 1:
             raise WordError(f"bad index in token {token!r}")
-        exponent = 1 if m.group(3) is None else int(m.group(3))
+        exponent = 1 if m.group(3) is None else _number(m.group(3), token)
     else:
         kind, index = ZETA, 0
-        exponent = 1 if m.group(4) is None else int(m.group(4))
+        exponent = 1 if m.group(4) is None else _number(m.group(4), token)
     if exponent == 0:
         raise WordError(f"zero exponent in token {token!r}")
     sign = 1 if exponent > 0 else -1
@@ -292,7 +308,7 @@ def parse_word(text: str, flavor: Flavor) -> Word:
     runs: list[tuple[Letter, int]] = []
     if tokens and all(_COMPACT.match(tok) for tok in tokens):
         for tok in tokens:
-            v = int(tok)
+            v = _number(tok, tok)
             if v == 0:
                 raise WordError("0 is not a generator in the compact form")
             runs.append((sigma(abs(v), 1 if v > 0 else -1), 1))

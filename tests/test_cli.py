@@ -165,6 +165,12 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cap" in err
 
+    def test_oversized_number(self, capsys):
+        code, out, err = run(capsys, "burau", "--n", "3", "s1^" + "9" * 5000)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "number too large" in err and "5003 characters" in err
+
     def test_defect_bad_k(self, capsys):
         code, _, err = run(capsys, "defect", "--i", "1", "--k", "50", "--n",
                            "3", "--d", "1")

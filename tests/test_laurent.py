@@ -74,9 +74,16 @@ class TestPoly:
         assert p * (q + r) == p * q + p * r
         assert p + (-p) == ZERO
 
+    @given(polys_st(), polys_st(), st.integers(-3, 3), st.integers(-3, 3))
+    def test_shift_and_sub(self, p, q, dt, ds):
+        assert p.shift(dt, ds) == p * LaurentPoly.monomial(1, dt, ds)
+        assert ZERO.shift(1, -1) == ZERO
+        assert p - q == p + (-q)
+        assert p - p == ZERO
+
     @given(polys_st(), polys_st())
     def test_no_zero_coefficients_after_ops(self, p, q):
-        for result in (p + q, p - q, p * q, -p):
+        for result in (p + q, p - q, p * q, -p, p.shift(2, -1)):
             assert all(c != 0 for _, _, c in result.terms())
 
     def test_specialize(self):

@@ -97,6 +97,16 @@ class TestRhoWord:
             product = product * rho_letter(letter, w.n)
         assert rho_word(w) == product
 
+    def test_matches_generic_letter_product_long_word(self):
+        # long, dense entries: cancellation in the crossings' a + b - b'
+        w = random_word(random.Random(2026), vcb(5), 120)
+        assert {(letter.kind, letter.sign) for letter in w} == {
+            (kind, sign) for kind in "stz" for sign in (1, -1)}
+        product = PolyMatrix.identity(w.n)
+        for letter in w:
+            product = product * rho_letter(letter, w.n)
+        assert rho_word(w) == product
+
     @given(words_st(max_len=12))
     def test_parallel_grouping_is_bit_identical(self, w):
         # any associative grouping of the letter product gives the same

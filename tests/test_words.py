@@ -75,6 +75,22 @@ class TestParse:
             with pytest.raises(WordError, match="6 letters"):
                 parse_word(text, cylindrical(2))
 
+    @pytest.mark.parametrize("text", [
+        "s1^" + "9" * 5000, "s" + "9" * 5000, "9" * 5000, "1 -" + "9" * 5000])
+    def test_oversized_number(self, text):
+        with pytest.raises(WordError, match="number too large") as info:
+            parse_word(text, classical(3))
+        assert len(str(info.value)) < 100
+
+    def test_leading_zeros(self):
+        assert parse_word("s1^0002", classical(3)).letters == (sigma(1),) * 2
+        assert parse_word("s1^-002 s02^-1", classical(3)).letters == (
+            sigma(1, -1),) * 2 + (sigma(2, -1),)
+        assert parse_word("-02 002", classical(3)).letters == (
+            sigma(2, -1), sigma(2))
+        assert parse_word("s" + "0" * 5000 + "1", classical(3)).letters == (
+            sigma(1),)
+
     @given(words_st())
     def test_round_trip(self, w):
         assert parse_word(format_word(w), w.flavor) == w
