@@ -2,8 +2,9 @@
 call; output is byte-deterministic for a fixed command line.
 
 Exit codes: 0 success (or verification passed / braid trivial), 1 verification
-failed or braid nontrivial, 2 usage or parse error, 3 inconclusive (a word
-problem overran the handle-reduction step cap or the Artin image budget).
+failed (a theorem check, or a search hit whose re-verification failed) or
+braid nontrivial, 2 usage or parse error, 3 inconclusive (a word problem
+overran the handle-reduction step cap or the Artin image budget).
 
 For pk / mn / search / defect, --n is the codomain strand count; the word
 argument lives on n+1 strands.
@@ -127,12 +128,13 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         return _emit_report(report, fmt)
     if args.command == "search":
         results = kernel.search_kernel(args.n, args.k, args.d, args.max_len)
+        code = 0 if all(r.verified for r in results) else 1
         if fmt == "json":
-            return 0, json.dumps([{"word": str(r.word),
-                                   "verified": r.verified,
-                                   "freely_trivial": r.freely_trivial}
-                                  for r in results])
-        return 0, "\n".join(str(r.word) for r in results)
+            return code, json.dumps([{"word": str(r.word),
+                                      "verified": r.verified,
+                                      "freely_trivial": r.freely_trivial}
+                                     for r in results])
+        return code, "\n".join(str(r.word) for r in results)
     if args.command == "defect":
         matrix = maps.cancellation_defect(args.i, args.k, args.n, args.d)
         return 0, _emit_matrix(matrix, fmt)

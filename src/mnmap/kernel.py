@@ -42,6 +42,8 @@ from .words import (
 
 SEARCH_MAX_LEN = 12
 SEARCH_MAX_ALPHABET = 12
+# The search carries n x n matrices; checked before anything is built.
+SEARCH_MAX_N = 32
 
 
 class WitnessError(RuntimeError):
@@ -163,25 +165,38 @@ class SearchResult:
     freely_trivial: bool
 
 
-def _pure_reduced_ranks(alphabet: list[Letter], n_strands: int,
+def _pure_reduced_ranks(alphabet: list[Letter],
+                        images: list[tuple[Letter, ...]], n: int,
                         max_len: int) -> list[list[tuple[int, ...]]]:
-    """Rank tuples of the freely reduced pure words of length 1..max_len,
-    bucketed by length, each bucket in lexicographic rank order.
+    """Rank tuples of the freely reduced pure words of length 1..max_len on
+    n+1 strands whose image passes the Z/p screen, bucketed by length, each
+    bucket in lexicographic rank order.  images[r] is the stabilized image
+    of alphabet[r], a letter sequence at dimension n.
 
     An iterative depth-first walk over freely reduced prefixes.  It carries
-    the prefix's strand permutation as a list (images[j] is Word.permutation
+    the prefix's strand permutation as a list (perm[j] is Word.permutation
     at j+1) and its inversion count, which is 0 exactly when the prefix is
     pure.  Each crossing changes the inversion count by exactly one, so a
     prefix with c inversions needs at least c more letters to become pure;
     subtrees that cannot get there within max_len are never entered.  The
     alphabet alternates sigma_i, sigma_i^-1, so the inverse of rank r is
     r ^ 1.
+
+    Beside it, states[j] holds the columns of the image of the first j
+    letters evaluated at reps.SCREEN_POINT modulo reps.SCREEN_PRIME, so
+    each node costs one letter image's column operations and undoing a
+    letter is a pop.  A pure prefix is kept only if that state is the
+    identity: a word whose exact image is the identity always is, so the
+    screen never drops a hit.
     """
     size = len(alphabet)
     swap_at = [letter.index - 1 for letter in alphabet]
-    images = list(range(1, n_strands + 1))
+    units = reps.screen_units()
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    perm = list(range(1, n + 2))
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
     ranks: list[int] = []
+    states = [identity]
     next_rank = [0]  # next rank to try at each depth of the walk
     inversions = 0
     while next_rank:
@@ -190,22 +205,27 @@ def _pure_reduced_ranks(alphabet: list[Letter], n_strands: int,
             next_rank.pop()
             if ranks:  # undo the last letter
                 a = swap_at[ranks.pop()]
-                inversions += 1 if images[a] < images[a + 1] else -1
-                images[a], images[a + 1] = images[a + 1], images[a]
+                inversions += 1 if perm[a] < perm[a + 1] else -1
+                perm[a], perm[a + 1] = perm[a + 1], perm[a]
+                states.pop()
             continue
         next_rank[-1] = r + 1
         if ranks and r == ranks[-1] ^ 1:
             continue
         a = swap_at[r]
-        inversions += 1 if images[a] < images[a + 1] else -1
-        images[a], images[a + 1] = images[a + 1], images[a]
+        inversions += 1 if perm[a] < perm[a + 1] else -1
+        perm[a], perm[a + 1] = perm[a + 1], perm[a]
         ranks.append(r)
-        if inversions == 0:
-            buckets[len(ranks)].append(tuple(ranks))
         # a pure extension needs >= inversions more letters, and >= 2 if
         # none; where none fits, mark the level exhausted so it is undone
-        next_rank.append(0 if max_len - len(ranks) >= (inversions or 2)
-                         else size)
+        expand = max_len - len(ranks) >= (inversions or 2)
+        state = None  # a leaf that is not pure needs no state
+        if inversions == 0 or expand:
+            state = reps.rho_columns_mod(states[-1], images[r], units)
+            if inversions == 0 and state == identity:
+                buckets[len(ranks)].append(tuple(ranks))
+        states.append(state)
+        next_rank.append(0 if expand else size)
     return buckets[1:]
 
 
@@ -227,14 +247,17 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     sends to the identity, ordered by (length, lexicographic letter order).
 
     A candidate's image is rho of the concatenated stabilized letter
-    images, which is mn_map applied letter-wise; each hit is re-verified
-    by _product_is_identity.  workers is accepted and ignored: the search
-    runs in the calling thread and its result never depended on it.
+    images, which is mn_map applied letter-wise.  Only candidates that
+    pass the Z/p screen of _pure_reduced_ranks are evaluated exactly, and
+    each hit is re-verified by _product_is_identity.  workers is accepted
+    and ignored: the search runs in the calling thread and its result never
+    depended on it.
     """
-    if max_len > SEARCH_MAX_LEN:
-        raise ValueError(f"max_len capped at {SEARCH_MAX_LEN}, got {max_len}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    if not 1 <= max_len <= SEARCH_MAX_LEN:
+        raise ValueError(f"max_len must be in 1..{SEARCH_MAX_LEN}, "
+                         f"got {max_len}")
+    if not 1 <= n <= SEARCH_MAX_N:
+        raise ValueError(f"n must be in 1..{SEARCH_MAX_N}, got {n}")
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
     if d < 1:
@@ -250,7 +273,7 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
                   letter.index, letter.sign, k, n)), d).letters
               for letter in alphabet]
     results = []
-    for bucket in _pure_reduced_ranks(alphabet, n + 1, max_len):
+    for bucket in _pure_reduced_ranks(alphabet, images, n, max_len):
         for ranks in bucket:
             letters = tuple(chain.from_iterable(images[r] for r in ranks))
             if reps.rho_word(Word(target, letters)).is_identity():

@@ -229,19 +229,13 @@ class PolyMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentPoly.zero()
-                for k in range(n):
-                    left = self.rows[i][k]
-                    if left:
-                        acc = acc + left * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        columns = tuple(zip(*other.rows))
+        product = PolyMatrix.__new__(PolyMatrix)
+        product.n = self.n
+        product.rows = tuple(
+            tuple(_dot(row, column) for column in columns)
+            for row in self.rows)
+        return product
 
     def __pow__(self, e: int) -> PolyMatrix:
         if e < 0:
@@ -291,6 +285,16 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.n}x{self.n})"
+
+
+def _dot(row: tuple[LaurentPoly, ...],
+         column: tuple[LaurentPoly, ...]) -> LaurentPoly:
+    """Sum of the entry products, skipping those with a zero factor."""
+    acc = ZERO
+    for left, right in zip(row, column):
+        if left and right:
+            acc = acc + left * right
+    return acc
 
 
 def _det(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:

@@ -91,6 +91,52 @@ def rho_word(w: Word) -> PolyMatrix:
     return PolyMatrix(zip(*cols))
 
 
+# Evaluation at a point is a ring homomorphism Z[t^+-1, s^+-1] -> Z/p, so a
+# word whose image there is not the identity cannot have the identity as its
+# exact image.  Kernel search screens its candidates this way.
+SCREEN_PRIME = 2 ** 61 - 1
+SCREEN_POINT = (1_234_567_891_011, 987_654_321_123)
+
+
+def screen_units() -> tuple[int, int, int, int]:
+    """(t0, t0^-1, s0, s0^-1) modulo SCREEN_PRIME at SCREEN_POINT."""
+    p = SCREEN_PRIME
+    t0, s0 = SCREEN_POINT
+    return t0 % p, pow(t0, -1, p), s0 % p, pow(s0, -1, p)
+
+
+def rho_columns_mod(cols: list[list[int]], letters: Iterable[Letter],
+                    units: tuple[int, int, int, int]) -> list[list[int]]:
+    """rho_word's column operations over Z/SCREEN_PRIME: the matrix whose
+    columns are cols, right-multiplied by the letters' images evaluated at
+    units = screen_units().  Letters must fit the dimension len(cols).
+    Changed columns are new lists and cols itself is not touched, so a
+    caller can keep it as the state to return to."""
+    p = SCREEN_PRIME
+    t, t_inv, s, s_inv = units
+    cols = list(cols)
+    for letter in letters:
+        if letter.kind == ZETA:
+            if letter.sign == 1:
+                cols = [cols[-1]] + cols[:-1]
+            else:
+                cols = cols[1:] + [cols[0]]
+            continue
+        a = letter.index - 1
+        b = a + 1
+        col_a, col_b = cols[a], cols[b]
+        if letter.kind == TAU:
+            cols[a] = [x * s_inv % p for x in col_b]
+            cols[b] = [x * s % p for x in col_a]
+        elif letter.sign == 1:  # b' = t a, a' = a + b - b'
+            cols[b] = new = [x * t % p for x in col_a]
+            cols[a] = [(x + y - z) % p for x, y, z in zip(col_a, col_b, new)]
+        else:  # a' = t^-1 b, b' = a + b - a'
+            cols[a] = new = [x * t_inv % p for x in col_b]
+            cols[b] = [(x + y - z) % p for x, y, z in zip(col_a, col_b, new)]
+    return cols
+
+
 def burau(w: Word) -> PolyMatrix:
     """Unreduced Burau matrix of a classical word (the restriction of the
     word map to classical braids); entries lie in Z[t^{+-1}]."""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mnmap import reps
+from mnmap import kernel, maps, reps
 from mnmap.cli import main
 from mnmap.laurent import PolyMatrix
 from mnmap.maps import mn_map
@@ -155,6 +155,21 @@ class TestErrors:
                              "0", "--max-len", "1")
         assert code == 2 and out == "" and "positive" in err
 
+    def test_search_huge_n(self, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the search built something before the n "
+                                 "check")
+
+        monkeypatch.setattr(maps, "pk_supports", built)
+        code, out, err = run(capsys, "search", "--n", "100000", "--k", "1",
+                             "--d", "1", "--max-len", "2")
+        assert code == 2 and out == "" and "n must be in 1..32" in err
+
+    def test_search_negative_max_len(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "2", "--k", "1", "--d",
+                             "1", "--max-len", "-3")
+        assert code == 2 and out == "" and "max_len must be in 1..12" in err
+
     @pytest.mark.parametrize("argv", [
         ("fd", "--n", "3", "--d", str(MAX_WORD_LETTERS), "z"),
         ("trivial", "--n", "3", f"s1^{MAX_WORD_LETTERS + 1}"),
@@ -189,3 +204,17 @@ class TestInconclusive:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestVerificationFailure:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_search_hit_failing_reverification_exits_1(self, capsys,
+                                                        monkeypatch, fmt):
+        monkeypatch.setattr(kernel, "_product_is_identity",
+                            lambda w, k, d: False)
+        code, out, _ = run(capsys, "search", "--n", "2", "--k", "1", "--d",
+                           "1", "--max-len", "2", "--format", fmt)
+        assert code == 1
+        assert "s1^-1 s1^-1" in out
+        if fmt == "json":
+            assert [r["verified"] for r in json.loads(out)] == [False]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import random_pure_word, reference_search
-from mnmap import kernel
+from mnmap import kernel, maps, reps
 from mnmap.kernel import (
     SearchResult,
     bigelow_alpha,
@@ -14,7 +14,13 @@ from mnmap.kernel import (
     verify_theorem2,
 )
 from mnmap.maps import mn_map, project_pk
-from mnmap.reps import ArtinBudgetError, artin_apply, burau, is_trivial_braid
+from mnmap.reps import (
+    ArtinBudgetError,
+    artin_apply,
+    burau,
+    is_trivial_braid,
+    rho_word,
+)
 from mnmap.words import (
     CLASSICAL,
     Word,
@@ -125,6 +131,19 @@ class TestTheorem2:
             verify_theorem2(0, 1)
 
 
+@pytest.fixture
+def exact_evaluations(monkeypatch):
+    """The words the search evaluates exactly with rho_word."""
+    evaluated = []
+
+    def counting(w):
+        evaluated.append(w)
+        return rho_word(w)
+
+    monkeypatch.setattr(reps, "rho_word", counting)
+    return evaluated
+
+
 class TestSearch:
     def test_finds_theorem2_witness(self):
         results = search_kernel(n=2, k=1, d=1, max_len=2)
@@ -158,6 +177,27 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_kernel(n=7, k=8, d=1, max_len=2)
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_max_len_must_be_positive(self, max_len):
+        with pytest.raises(ValueError, match="max_len must be in 1..12"):
+            search_kernel(n=2, k=1, d=1, max_len=max_len)
+
+    def test_n_bounded_before_anything_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the search built something before the n "
+                                 "check")
+
+        monkeypatch.setattr(maps, "pk_supports", built)
+        monkeypatch.setattr(kernel, "sigma", built)
+        monkeypatch.setattr(kernel, "cylindrical", built)
+        for n in (kernel.SEARCH_MAX_N + 1, 100_000, 10 ** 100):
+            with pytest.raises(ValueError, match="n must be in 1..32"):
+                search_kernel(n=n, k=1, d=1, max_len=2)
+
+    def test_largest_n_runs(self):
+        results = search_kernel(n=kernel.SEARCH_MAX_N, k=1, d=1, max_len=4)
+        assert all(r.verified for r in results)
+
     @pytest.mark.parametrize("n,k,d", [(3, 0, 1), (3, 5, 1), (3, 50, 1),
                                        (2, 1, 0), (2, 1, -1), (0, 1, 1)])
     def test_parameters_validated_before_enumerating(self, n, k, d):
@@ -170,6 +210,24 @@ class TestSearch:
         for k in range(1, n + 2):
             found = [r.word for r in search_kernel(n, k, d, max_len)]
             assert found == reference_search(n, k, d, max_len), (n, k, d)
+
+    def test_exact_decision_where_the_screen_passes_pure_words(
+            self, monkeypatch, exact_evaluations):
+        # at t = s = 1 a word's image evaluates to the permutation matrix
+        # of its stabilized image, so many pure non-hits pass the screen
+        # and only the exact rho_word tells them apart
+        monkeypatch.setattr(reps, "SCREEN_POINT", (1, 1))
+        hits = 0
+        for n, max_len in [(2, 5), (3, 5), (4, 4)]:
+            for k in range(1, n + 2):
+                found = [r.word for r in search_kernel(n, k, 1, max_len)]
+                assert found == reference_search(n, k, 1, max_len), (n, k)
+                hits += len(found)
+        assert len(exact_evaluations) > 2 * hits
+
+    def test_screen_lets_no_non_hit_through(self, exact_evaluations):
+        results = search_kernel(n=3, k=2, d=1, max_len=6)
+        assert len(exact_evaluations) == len(results) == 50
 
     def test_classical_words_built_only_for_hits(self, monkeypatch):
         built = []

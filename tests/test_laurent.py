@@ -37,6 +37,13 @@ def leibniz_det(matrix: PolyMatrix) -> LaurentPoly:
     return total
 
 
+def naive_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Independent matrix product: the plain triple loop over every term."""
+    n = a.n
+    return PolyMatrix([[sum((a[i, k] * b[k, j] for k in range(n)), ZERO)
+                        for j in range(n)] for i in range(n)])
+
+
 class TestPoly:
     def test_product(self):
         assert (ONE - T) * T == T - T * T
@@ -144,6 +151,18 @@ class TestMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             PolyMatrix.identity(2) * PolyMatrix.identity(3)
+
+    @given(st.integers(1, 4), st.data())
+    def test_mul_matches_naive_triple_loop(self, n, data):
+        entry = st.one_of(st.just(ZERO), st.just(ONE),
+                          polys_st(max_exp=2, max_coeff=4, max_terms=3))
+        a, b = (PolyMatrix([[data.draw(entry) for _ in range(n)]
+                            for _ in range(n)]) for _ in range(2))
+        product = a * b
+        assert product == naive_product(a, b)
+        assert product.n == n
+        assert all(isinstance(e, LaurentPoly)
+                   for row in product.rows for e in row)
 
     def test_det_identity(self):
         assert PolyMatrix.identity(4).det() == ONE

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import random_word, relation_identities, word_pairs_st, words_st
+from mnmap import reps
 from mnmap.laurent import LaurentPoly, ONE, PolyMatrix, S, S_INV, T, T_INV
 from mnmap.reps import (
     ArtinBudgetError,
@@ -14,6 +15,7 @@ from mnmap.reps import (
     burau,
     handle_reduce,
     is_trivial_braid,
+    rho_columns_mod,
     rho_letter,
     rho_word,
 )
@@ -144,6 +146,35 @@ class TestRhoWord:
     @given(words_st(max_len=14))
     def test_specializes_to_permutation_matrix(self, w):
         assert rho_word(w).specialize(1, 1) == w.permutation().matrix()
+
+
+def evaluate_mod(poly: LaurentPoly, t0: int, s0: int, p: int) -> int:
+    return sum(c * pow(t0, a, p) * pow(s0, b, p)
+               for a, b, c in poly.terms()) % p
+
+
+class TestScreen:
+    def test_modular_state_is_the_exact_image_at_the_point(self):
+        p, (t0, s0) = reps.SCREEN_PRIME, reps.SCREEN_POINT
+        units = reps.screen_units()
+        rng = random.Random(61)
+        kinds = set()
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            w = random_word(rng, vcb(n), rng.randint(0, 40))
+            kinds |= {(letter.kind, letter.sign) for letter in w}
+            exact = rho_word(w)
+            expected = [[evaluate_mod(exact[i, j], t0, s0, p)
+                         for i in range(n)] for j in range(n)]
+            identity = [[int(i == j) for i in range(n)] for j in range(n)]
+            assert rho_columns_mod(identity, w.letters, units) == expected
+            # carried state: a prefix's columns extended by the rest
+            cut = rng.randint(0, len(w))
+            prefix = rho_columns_mod(identity, w.letters[:cut], units)
+            assert rho_columns_mod(prefix, w.letters[cut:], units) == expected
+            assert identity == [[int(i == j) for i in range(n)]
+                                for j in range(n)]
+        assert kinds == {(kind, sign) for kind in "stz" for sign in (1, -1)}
 
 
 class TestBurau:
