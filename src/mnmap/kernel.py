@@ -21,8 +21,10 @@ separately by handle reduction (never assumed).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable
 
 from . import maps, reps
 from .laurent import PolyMatrix
@@ -154,11 +156,12 @@ def verify_theorem2(m: int, k: int) -> VerificationReport:
 class SearchResult:
     """A freely reduced word whose composite image is the identity matrix.
     verified records a second evaluation of that image by an independent
-    matrix computation: the generic product of the rho_letter matrices of
-    the whole word's projection and stabilization, instead of rho_word's
-    column operations.  Both evaluations start from the same letter-wise
-    substitution (pk_letter_image and stabilize_fd), so an error in that
-    table would pass both."""
+    matrix computation: the generic product of the word's letters' image
+    matrices, each built once per search as the generic product of the
+    rho_letter matrices of that letter's stabilized image, instead of
+    rho_word's column operations.  Both evaluations start from the same
+    letter-wise substitution (pk_letter_image and stabilize_fd), so an
+    error in that table would pass both."""
 
     word: Word
     verified: bool
@@ -229,15 +232,30 @@ def _pure_reduced_ranks(alphabet: list[Letter],
     return buckets[1:]
 
 
-def _product_is_identity(w: Word, k: int, d: int) -> bool:
-    """Whether the composite image of w is the identity, evaluated as the
-    generic matrix product of the rho_letter images of its whole-word
-    projection and stabilization rather than by rho_word."""
-    image = maps.stabilize_fd(maps.project_pk(w, k), d)
-    product = PolyMatrix.identity(image.n)
+def _letter_image(letter: Letter, k: int, n: int, d: int
+                  ) -> tuple[Letter, ...]:
+    """The stabilized image of a classical letter on n+1 strands: its
+    letter sequence under project_pk and stabilize_fd at dimension n."""
+    return maps.stabilize_fd(Word(cylindrical(n), maps.pk_letter_image(
+        letter.index, letter.sign, k, n)), d).letters
+
+
+def _image_matrix(image: tuple[Letter, ...], n: int) -> PolyMatrix:
+    """The generic product of the rho_letter matrices of a letter sequence
+    at dimension n."""
+    product = PolyMatrix.identity(n)
     for letter in image:
-        product = product * reps.rho_letter(letter, image.n)
-    return product.is_identity()
+        product = product * reps.rho_letter(letter, n)
+    return product
+
+
+def _product_is_identity(matrices: Iterable[PolyMatrix]) -> bool:
+    """Whether the generic product of a non-empty sequence of letter image
+    matrices (from _image_matrix) is the identity.  This is the hits'
+    second evaluation: generic matrix products, independent of rho_word's
+    column operations, but from the same stabilized letter images, so it
+    shares the substitution table with the first."""
+    return functools.reduce(operator.mul, matrices).is_identity()
 
 
 def search_kernel(n: int, k: int, d: int, max_len: int,
@@ -248,8 +266,10 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
 
     A candidate's image is rho of the concatenated stabilized letter
     images, which is mn_map applied letter-wise.  Only candidates that
-    pass the Z/p screen of _pure_reduced_ranks are evaluated exactly, and
-    each hit is re-verified by _product_is_identity.  workers is accepted
+    pass the Z/p screen of _pure_reduced_ranks are evaluated exactly, by
+    rho_word.  Each hit is then re-verified by _product_is_identity from
+    the alphabet letters' image matrices, built once per call by
+    _image_matrix from the same stabilized images.  workers is accepted
     and ignored: the search runs in the calling thread and its result never
     depended on it.
     """
@@ -268,17 +288,16 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
         raise ValueError(
             f"alphabet of {len(alphabet)} symbols exceeds the cap of "
             f"{SEARCH_MAX_ALPHABET}")
-    cyl, target, domain = cylindrical(n), vcb(n), classical(n + 1)
-    images = [maps.stabilize_fd(Word(cyl, maps.pk_letter_image(
-                  letter.index, letter.sign, k, n)), d).letters
-              for letter in alphabet]
+    target, domain = vcb(n), classical(n + 1)
+    images = [_letter_image(letter, k, n, d) for letter in alphabet]
+    matrices = [_image_matrix(image, n) for image in images]
     results = []
     for bucket in _pure_reduced_ranks(alphabet, images, n, max_len):
         for ranks in bucket:
             letters = tuple(chain.from_iterable(images[r] for r in ranks))
             if reps.rho_word(Word(target, letters)).is_identity():
-                word = Word(domain, tuple(alphabet[r] for r in ranks))
                 results.append(SearchResult(
-                    word=word, verified=_product_is_identity(word, k, d),
+                    word=Word(domain, tuple(alphabet[r] for r in ranks)),
+                    verified=_product_is_identity(matrices[r] for r in ranks),
                     freely_trivial=False))
     return results

@@ -210,8 +210,23 @@ class PolyMatrix:
             raise ValueError("matrix must be square with dimension >= 1")
 
     @classmethod
+    def from_polys(cls, rows: tuple[tuple[LaurentPoly, ...], ...]
+                   ) -> PolyMatrix:
+        """The matrix with these rows, taken as they are: the caller
+        guarantees a square tuple of tuples of LaurentPoly entries, so
+        nothing is coerced or checked."""
+        matrix = cls.__new__(cls)
+        matrix.rows = rows
+        matrix.n = len(rows)
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> PolyMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix must be square with dimension >= 1")
+        return cls.from_polys(tuple(
+            tuple(ONE if i == j else ZERO for j in range(n))
+            for i in range(n)))
 
     def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
         i, j = ij
@@ -230,12 +245,9 @@ class PolyMatrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         columns = tuple(zip(*other.rows))
-        product = PolyMatrix.__new__(PolyMatrix)
-        product.n = self.n
-        product.rows = tuple(
+        return PolyMatrix.from_polys(tuple(
             tuple(_dot(row, column) for column in columns)
-            for row in self.rows)
-        return product
+            for row in self.rows))
 
     def __pow__(self, e: int) -> PolyMatrix:
         if e < 0:
@@ -246,10 +258,12 @@ class PolyMatrix:
         return result
 
     def is_identity(self) -> bool:
-        return self == PolyMatrix.identity(self.n)
+        return all((entry == ONE) if i == j else not entry
+                   for i, row in enumerate(self.rows)
+                   for j, entry in enumerate(row))
 
     def transpose(self) -> PolyMatrix:
-        return PolyMatrix(tuple(zip(*self.rows)))
+        return PolyMatrix.from_polys(tuple(zip(*self.rows)))
 
     def det(self) -> LaurentPoly:
         """Exact determinant by Laplace expansion with each minor computed

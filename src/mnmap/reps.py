@@ -30,29 +30,25 @@ DEFAULT_STEP_CAP = 1_000_000
 
 def rho_letter(letter: Letter, n: int) -> PolyMatrix:
     """Image of a single generator at dimension n."""
-    rows: list[list] = [[1 if i == j else 0 for j in range(n)]
-                        for i in range(n)]
-    if letter.kind == ZETA:
-        for i in range(n):
-            rows[i] = [0] * n
-        for i in range(n - 1):
-            rows[i][i + 1] = 1
-        rows[n - 1][0] = 1
-        matrix = PolyMatrix(rows)
-        return matrix if letter.sign == 1 else matrix.transpose()
+    if letter.kind == ZETA:  # row i has its 1 in column i + sign (mod n)
+        return PolyMatrix.from_polys(tuple(
+            tuple(ONE if j == (i + letter.sign) % n else ZERO
+                  for j in range(n))
+            for i in range(n)))
     k = letter.index
     if not 1 <= k <= n - 1:
         raise WordError(f"letter {letter} has no image at dimension {n}")
     a, b = k - 1, k  # 0-based block position
     if letter.kind == TAU:
-        block = ((0, S), (S_INV, 0))
+        block = ((ZERO, S), (S_INV, ZERO))
     elif letter.sign == 1:
-        block = ((ONE - T, T), (1, 0))
+        block = ((ONE - T, T), (ONE, ZERO))
     else:
-        block = ((0, 1), (T_INV, ONE - T_INV))
+        block = ((ZERO, ONE), (T_INV, ONE - T_INV))
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     rows[a][a], rows[a][b] = block[0]
     rows[b][a], rows[b][b] = block[1]
-    return PolyMatrix(rows)
+    return PolyMatrix.from_polys(tuple(map(tuple, rows)))
 
 
 def rho_word(w: Word) -> PolyMatrix:
@@ -88,7 +84,7 @@ def rho_word(w: Word) -> PolyMatrix:
         else:  # a' = t^-1 b, b' = a + (1-t^-1) b = a + b - a'
             cols[a] = [p.shift(-1, 0) for p in col_b]
             cols[b] = [p + q - r for p, q, r in zip(col_a, col_b, cols[a])]
-    return PolyMatrix(zip(*cols))
+    return PolyMatrix.from_polys(tuple(zip(*cols)))
 
 
 # Evaluation at a point is a ring homomorphism Z[t^+-1, s^+-1] -> Z/p, so a

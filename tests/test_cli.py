@@ -211,7 +211,7 @@ class TestVerificationFailure:
     def test_search_hit_failing_reverification_exits_1(self, capsys,
                                                         monkeypatch, fmt):
         monkeypatch.setattr(kernel, "_product_is_identity",
-                            lambda w, k, d: False)
+                            lambda matrices: False)
         code, out, _ = run(capsys, "search", "--n", "2", "--k", "1", "--d",
                            "1", "--max-len", "2", "--format", fmt)
         assert code == 1

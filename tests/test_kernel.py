@@ -19,6 +19,7 @@ from mnmap.reps import (
     artin_apply,
     burau,
     is_trivial_braid,
+    rho_letter,
     rho_word,
 )
 from mnmap.words import (
@@ -244,6 +245,15 @@ class TestSearch:
         assert built == [r.word for r in results]
 
 
+def reverified(w, k, d):
+    """_product_is_identity on the image matrices of w's letters, built the
+    way search_kernel builds them for its alphabet."""
+    n = w.n - 1
+    return kernel._product_is_identity(
+        kernel._image_matrix(kernel._letter_image(letter, k, n, d), n)
+        for letter in w)
+
+
 class TestReverification:
     def test_independent_product_agrees_with_mn_map(self):
         rng = random.Random(7)
@@ -256,10 +266,50 @@ class TestReverification:
                 expected = mn_map(w, k, d).is_identity()
             except ValueError:  # a letter outside the case table
                 continue
-            assert kernel._product_is_identity(w, k, d) == expected
+            assert reverified(w, k, d) == expected
 
     def test_rejects_a_pure_word_outside_the_kernel(self):
         w = parse_word("s1^2", classical(3))
-        assert not kernel._product_is_identity(w, 1, 1)
-        assert kernel._product_is_identity(parse_word("s1^-2", classical(3)),
-                                           1, 1)
+        assert not reverified(w, 1, 1)
+        assert reverified(parse_word("s1^-2", classical(3)), 1, 1)
+
+    @pytest.mark.parametrize("n,k,d,max_len", [(3, 2, 1, 6), (3, 2, 1, 1),
+                                               (4, 3, 2, 4), (2, 1, 3, 5)])
+    def test_one_rho_letter_call_per_stabilized_image_letter(
+            self, monkeypatch, n, k, d, max_len):
+        alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
+                    for l in (sigma(i), sigma(i, -1))]
+        expected = sum(len(maps.stabilize_fd(Word(cylindrical(n),
+                           maps.pk_letter_image(l.index, l.sign, k, n)), d))
+                       for l in alphabet)
+        calls = []
+
+        def counting(letter, dim):
+            calls.append(letter)
+            return rho_letter(letter, dim)
+
+        monkeypatch.setattr(reps, "rho_letter", counting)
+        results = search_kernel(n, k, d, max_len)
+        assert len(calls) == expected
+        assert all(r.verified for r in results)
+
+    def test_a_corrupted_letter_matrix_fails_the_hits_that_use_it(
+            self, monkeypatch):
+        # sigma_1^-1 at dimension 3 gets sigma_1's block; rho_word and the
+        # screen never call rho_letter, so the hits stay the same and only
+        # those whose stabilized image holds sigma_1^-1 fail re-verification
+        def corrupted(letter, dim):
+            if letter == sigma(1, -1):
+                letter = sigma(1)
+            return rho_letter(letter, dim)
+
+        n, k, d = 3, 2, 1
+        honest = search_kernel(n, k, d, 6)
+        monkeypatch.setattr(reps, "rho_letter", corrupted)
+        results = search_kernel(n, k, d, 6)
+        assert [r.word for r in results] == [r.word for r in honest]
+        affected = [sigma(1, -1) in maps.stabilize_fd(project_pk(r.word, k),
+                                                      d).letters
+                    for r in results]
+        assert 0 < sum(affected) < len(results)
+        assert [r.verified for r in results] == [not a for a in affected]

@@ -135,7 +135,12 @@ class TestMatrix:
 
     def test_is_identity(self):
         assert PolyMatrix.identity(5).is_identity()
+        assert PolyMatrix([[1, 0], [0, 1]]).is_identity()
         assert not PolyMatrix([[ONE - T, T], [1, 0]]).is_identity()
+        assert not PolyMatrix([[1, 0], [0, 2]]).is_identity()
+        assert not PolyMatrix([[T, 0], [0, 1]]).is_identity()
+        assert not PolyMatrix([[1, 1], [0, 1]]).is_identity()
+        assert not PolyMatrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]]).is_identity()
 
     def test_eq(self):
         a = PolyMatrix([[ONE, ZERO], [ZERO, ONE]])

@@ -70,6 +70,22 @@ class TestRhoLetter:
             assert (rho_letter(zeta(), n) * rho_letter(zeta(-1), n)).is_identity()
 
 
+    def test_entries_are_laurent_polys(self):
+        # int == LaurentPoly falls back to LaurentPoly.__eq__, so the
+        # equality tests above would not notice a raw int in a matrix
+        def entries(matrix):
+            return [entry for row in matrix.rows for entry in row]
+
+        for n in range(2, 6):
+            letters = [zeta(), zeta(-1)] + [
+                make(i, sign) for i in range(1, n) for make in (sigma, tau)
+                for sign in (1, -1)]
+            for matrix in [PolyMatrix.identity(n)] + [
+                    rho_letter(letter, n) for letter in letters]:
+                for m in (matrix, matrix.transpose()):
+                    assert all(type(e) is LaurentPoly for e in entries(m))
+
+
 class TestRhoWord:
     def test_empty(self):
         assert rho_word(Word(cylindrical(4))) == PolyMatrix.identity(4)
