@@ -18,7 +18,6 @@ map under free reduction a property of the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 from .laurent import ONE, S, S_INV, T, T_INV, ZERO, LaurentPoly, PolyMatrix
@@ -164,13 +163,16 @@ def _free_reduce(items: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return stack
 
 
-def free_mul(*parts: FreeWord) -> FreeWord:
-    """Concatenate free words and freely reduce."""
-    return tuple(_free_reduce(chain.from_iterable(parts)))
-
-
-def free_inv(w: FreeWord) -> FreeWord:
-    return tuple((gen, -sign) for gen, sign in reversed(w))
+def _junction(a: FreeWord, a_inv: FreeWord, b: FreeWord) -> FreeWord:
+    """The reduced product a b of reduced words a and b, given a^-1.  Only
+    the junction can cancel: m letters go from each side, where m is the
+    length of the common prefix of a^-1 and b."""
+    m = 0
+    for x, y in zip(a_inv, b):
+        if x != y:
+            break
+        m += 1
+    return a[:len(a) - m] + b[m:]
 
 
 @dataclass(frozen=True)
@@ -199,25 +201,34 @@ def artin_apply(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
     """Compose the letter automorphisms of a classical word.  Faithfulness:
     the result is the identity automorphism iff the braid is trivial.
 
-    Image lengths can grow exponentially with word length; exceeding the
-    per-image budget raises ArtinBudgetError.
+    Each image is kept freely reduced with its inverse beside it, so a
+    letter's products cancel only at their junctions.  Image lengths can
+    grow exponentially with word length; exceeding the per-image budget
+    raises ArtinBudgetError, naming the length and the letter reached.
     """
     if w.flavor.group != CLASSICAL:
         raise WordError(f"the Artin action needs a classical word, got {w.flavor!r}")
     n = w.n
     images: list[FreeWord] = [((i, 1),) for i in range(1, n + 1)]
-    for letter in w:
-        i = letter.index - 1  # 0-based
-        xi, xj = images[i], images[i + 1]
-        if letter.sign == 1:
-            images[i] = free_mul(xi, xj, free_inv(xi))
-            images[i + 1] = xi
-        else:
-            images[i] = xj
-            images[i + 1] = free_mul(free_inv(xj), xi, xj)
-        if len(images[i]) > budget or len(images[i + 1]) > budget:
+    inverses: list[FreeWord] = [((i, -1),) for i in range(1, n + 1)]
+    for position, letter in enumerate(w, start=1):
+        i, j = letter.index - 1, letter.index  # 0-based
+        xi, xj = images[i], images[j]
+        xi_inv, xj_inv = inverses[i], inverses[j]
+        if letter.sign == 1:  # x_i -> x_i x_j x_i^-1, x_j -> x_i
+            images[i] = _junction(xi, xi_inv, _junction(xj, xj_inv, xi_inv))
+            inverses[i] = _junction(xi, xi_inv,
+                                    _junction(xj_inv, xj, xi_inv))
+            images[j], inverses[j] = xi, xi_inv
+        else:  # x_i -> x_j, x_j -> x_j^-1 x_i x_j
+            images[i], inverses[i] = xj, xj_inv
+            images[j] = _junction(xj_inv, xj, _junction(xi, xi_inv, xj))
+            inverses[j] = _junction(xj_inv, xj, _junction(xi_inv, xi, xj))
+        reached = max(len(images[i]), len(images[j]))
+        if reached > budget:
             raise ArtinBudgetError(
-                f"image length exceeded budget of {budget} letters")
+                f"image length {reached} exceeded budget of {budget} "
+                f"letters at letter {position} of {len(w)}")
     return FreeAut(n, tuple(images))
 
 

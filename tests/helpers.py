@@ -7,6 +7,12 @@ from itertools import product
 import hypothesis.strategies as st
 
 from mnmap.maps import mn_map
+from mnmap.reps import (
+    DEFAULT_ARTIN_BUDGET,
+    ArtinBudgetError,
+    FreeAut,
+    FreeWord,
+)
 from mnmap.words import (
     CLASSICAL,
     CYLINDRICAL,
@@ -141,3 +147,39 @@ def reference_search(n: int, k: int, d: int, max_len: int) -> list[Word]:
             if word.is_pure() and mn_map(word, k, d).is_identity():
                 hits.append(word)
     return hits
+
+
+def reference_artin(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
+    """The Artin action by whole-word free reduction: each letter rebuilds
+    the changed image as the concatenation of three images, with the inverse
+    recomputed, reduced in one stack pass.  Raises ArtinBudgetError with the
+    same message as reps.artin_apply."""
+    def reduce(*parts: FreeWord) -> FreeWord:
+        stack: list[tuple[int, int]] = []
+        for part in parts:
+            for gen, sign in part:
+                if stack and stack[-1] == (gen, -sign):
+                    stack.pop()
+                else:
+                    stack.append((gen, sign))
+        return tuple(stack)
+
+    def inv(x: FreeWord) -> FreeWord:
+        return tuple((gen, -sign) for gen, sign in reversed(x))
+
+    images: list[FreeWord] = [((i, 1),) for i in range(1, w.n + 1)]
+    for position, letter in enumerate(w, start=1):
+        i = letter.index - 1
+        xi, xj = images[i], images[i + 1]
+        if letter.sign == 1:
+            images[i] = reduce(xi, xj, inv(xi))
+            images[i + 1] = xi
+        else:
+            images[i] = xj
+            images[i + 1] = reduce(inv(xj), xi, xj)
+        reached = max(len(images[i]), len(images[i + 1]))
+        if reached > budget:
+            raise ArtinBudgetError(
+                f"image length {reached} exceeded budget of {budget} "
+                f"letters at letter {position} of {len(w)}")
+    return FreeAut(w.n, tuple(images))

@@ -4,7 +4,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from helpers import random_word, relation_identities, word_pairs_st, words_st
+from helpers import (
+    random_word,
+    reference_artin,
+    relation_identities,
+    word_pairs_st,
+    words_st,
+)
 from mnmap import reps
 from mnmap.laurent import LaurentPoly, ONE, PolyMatrix, S, S_INV, T, T_INV
 from mnmap.reps import (
@@ -278,6 +284,52 @@ class TestArtin:
     def test_budget(self):
         with pytest.raises(ArtinBudgetError):
             artin_apply(parse_word("s1", classical(2)), budget=2)
+
+    def test_overrun_names_length_and_letter(self):
+        # after s1 s2, x1 -> x1x2X1 and x2 -> x1x3X1; the second s1 makes
+        # x1 -> x1x2X1 . x1x3X1 . x1X2X1 = x1x2x3X2X1, 5 letters
+        w = parse_word("s1 s2 s1 s2", classical(3))
+        with pytest.raises(ArtinBudgetError) as raised:
+            artin_apply(w, budget=4)
+        assert str(raised.value) == (
+            "image length 5 exceeded budget of 4 letters at letter 3 of 4")
+
+    @pytest.mark.parametrize("budget", [None, 1, 2, 5, 50])
+    def test_matches_whole_word_reduction(self, budget):
+        rng = random.Random(23)
+        kwargs = {} if budget is None else {"budget": budget}
+        for trial in range(300):
+            flavor = classical(rng.randint(2, 7))
+            if trial % 3:
+                w = random_word(rng, flavor, rng.randint(0, 40))
+            else:  # u s_i^e s_i^-e v blocks, v mostly u^-1: junctions
+                w = Word(flavor)  # swallow whole factors
+                while len(w) < 34:
+                    u = random_word(rng, flavor, rng.randint(0, 3))
+                    i = rng.randint(1, flavor.n - 1)
+                    e = rng.choice((1, -1))
+                    pair = Word(flavor, (sigma(i, e), sigma(i, -e)))
+                    v = (u.inverse() if rng.random() < 0.7
+                         else random_word(rng, flavor, 2))
+                    w = w * u * pair * v
+            try:
+                expected = reference_artin(w, **kwargs)
+            except ArtinBudgetError as err:
+                with pytest.raises(ArtinBudgetError) as raised:
+                    artin_apply(w, **kwargs)
+                assert str(raised.value) == str(err), w
+            else:
+                assert artin_apply(w, **kwargs).image_strings() == \
+                    expected.image_strings(), w
+
+    # max_len 10: an image at most triples per letter, so 3^10 stays inside
+    # the default budget and w w^-1 never overruns.
+    @settings(max_examples=60)
+    @given(words_st(groups=("classical",), max_len=10))
+    def test_images_reduced_and_inverse_cancels(self, w):
+        for img in artin_apply(w).images:
+            assert all(b != (a[0], -a[1]) for a, b in zip(img, img[1:]))
+        assert artin_apply(w * w.inverse()).is_identity()
 
     def test_rejects_non_classical(self):
         with pytest.raises(WordError):
