@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Iterable
 
 from . import maps, reps
-from .laurent import PolyMatrix
+from .laurent import PolyMatrix, check_dimension
 from .maps import mn_map
 from .reps import burau, is_trivial_braid
 from .words import (
@@ -141,6 +141,7 @@ def verify_theorem2(m: int, k: int) -> VerificationReport:
     if not 1 <= k <= 2 * m:
         raise ValueError(f"k must be in 1..{2 * m}, got {k}")
     n = 2 * m
+    check_dimension(n)
     witness = Word(classical(n + 1), (sigma(k, -1),) * (2 * m))
     image = mn_map(witness, k=k, d=1)
     return VerificationReport(

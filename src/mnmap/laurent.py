@@ -23,6 +23,14 @@ class LaurentPoly:
             key: coeff for key, coeff in (terms or {}).items() if coeff != 0}
 
     @classmethod
+    def from_nonzero(cls, terms: dict[tuple[int, int], int]) -> LaurentPoly:
+        """The polynomial with this term map, taken as it is: the caller
+        guarantees that no coefficient is zero, so nothing is filtered."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
+
+    @classmethod
     def zero(cls) -> LaurentPoly:
         return cls()
 
@@ -130,14 +138,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, dt: int, ds: int) -> LaurentPoly:
-        """The product with t^dt * s^ds: exponent pairs move injectively and
-        coefficients stay, so nothing accumulates or cancels."""
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = {(a + dt, b + ds): c
-                         for (a, b), c in self._terms.items()}
-        return result
-
     def __pow__(self, e: int) -> LaurentPoly:
         if e < 0:
             raise ValueError("negative powers are not defined for polynomials")
@@ -192,6 +192,18 @@ S = LaurentPoly.monomial(1, 0, 1)
 T_INV = LaurentPoly.monomial(1, -1, 0)
 S_INV = LaurentPoly.monomial(1, 0, -1)
 
+# Matrices are dense, n^2 entries: the dimension is checked against this
+# bound before anything of that size is built.
+MAX_DIMENSION = 256
+
+
+def check_dimension(n: int) -> None:
+    """Raise ValueError if n is over MAX_DIMENSION."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"matrix dimension {n} is over the cap of "
+                         f"{MAX_DIMENSION}")
+
+
 # The determinant computes every minor of the bottom rows once: n * 2^(n-1)
 # polynomial products, still exponential, so inputs stay small.
 DET_DIMENSION_CAP = 8
@@ -224,6 +236,7 @@ class PolyMatrix:
     def identity(cls, n: int) -> PolyMatrix:
         if n < 1:
             raise ValueError("matrix must be square with dimension >= 1")
+        check_dimension(n)
         return cls.from_polys(tuple(
             tuple(ONE if i == j else ZERO for j in range(n))
             for i in range(n)))

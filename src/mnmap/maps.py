@@ -20,7 +20,7 @@ cancellation_defect exhibits the discrepancy for inspection.
 """
 from __future__ import annotations
 
-from .laurent import PolyMatrix
+from .laurent import PolyMatrix, check_dimension
 from .reps import rho_word
 from .words import (
     CLASSICAL,
@@ -140,6 +140,7 @@ def stabilize_fd(w: Word, d: int) -> Word:
 def mn_map(w: Word, k: int, d: int) -> PolyMatrix:
     """The composite matrix map on a pure classical word on n+1 strands;
     the result has dimension n."""
+    check_dimension(w.n - 1)
     return rho_word(stabilize_fd(project_pk(w, k), d))
 
 
@@ -150,6 +151,7 @@ def cancellation_defect(i: int, k: int, n: int, d: int) -> PolyMatrix:
     i in {k-1, k} the images are not mutually inverse and the defect
     matrix records by how much.
     """
+    check_dimension(n)
     if not 1 <= i <= n:
         raise ValueError(f"generator index must be in 1..{n}, got {i}")
     if not 1 <= k <= n + 1:

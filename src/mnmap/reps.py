@@ -20,7 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .laurent import ONE, S, S_INV, T, T_INV, ZERO, LaurentPoly, PolyMatrix
+from .laurent import (
+    ONE,
+    S,
+    S_INV,
+    T,
+    T_INV,
+    ZERO,
+    LaurentPoly,
+    PolyMatrix,
+    check_dimension,
+)
 from .words import CLASSICAL, SIGMA, TAU, ZETA, Letter, Word, WordError
 
 DEFAULT_ARTIN_BUDGET = 2 ** 16
@@ -29,6 +39,7 @@ DEFAULT_STEP_CAP = 1_000_000
 
 def rho_letter(letter: Letter, n: int) -> PolyMatrix:
     """Image of a single generator at dimension n."""
+    check_dimension(n)
     if letter.kind == ZETA:  # row i has its 1 in column i + sign (mod n)
         return PolyMatrix.from_polys(tuple(
             tuple(ONE if j == (i + letter.sign) % n else ZERO
@@ -50,18 +61,64 @@ def rho_letter(letter: Letter, n: int) -> PolyMatrix:
     return PolyMatrix.from_polys(tuple(map(tuple, rows)))
 
 
+# An entry of rho_word's walk: for each power of s, the coefficients of
+# t^t_lo, t^(t_lo+1), ... in one dense list, nonzero at both ends.  Entries
+# of words' images are nearly dense in t for each power of s, though sparse
+# over the whole (t, s) box.  Lists are shared between entries and never
+# changed in place.
+Rows = dict[int, tuple[int, list[int]]]
+
+
+def _cross(x: Rows, y: Rows, e: int) -> Rows:
+    """x + (1 - t^e) y for e = +-1, one s-slice at a time: y and t^e y are
+    the same list at offsets t_lo and t_lo + e.  A slice that cancels to
+    nothing is dropped."""
+    out = dict(x)
+    for s, (lo_y, cy) in y.items():
+        lo_x, cx = out.get(s, (lo_y, []))
+        lo_z = lo_y + e
+        lo = min(lo_x, lo_y, lo_z)
+        hi = max(lo_x + len(cx), lo_y + len(cy), lo_z + len(cy))
+        row = [p + q - r for p, q, r in zip(
+            [0] * (lo_x - lo) + cx + [0] * (hi - lo_x - len(cx)),
+            [0] * (lo_y - lo) + cy + [0] * (hi - lo_y - len(cy)),
+            [0] * (lo_z - lo) + cy + [0] * (hi - lo_z - len(cy)))]
+        if not row[0] or not row[-1]:
+            i, j = 0, len(row)
+            while i < j and not row[i]:
+                i += 1
+            while j > i and not row[j - 1]:
+                j -= 1
+            if i == j:  # only when x has this slice: y's ends stay nonzero
+                del out[s]
+                continue
+            row, lo = row[i:j], lo + i
+        out[s] = (lo, row)
+    return out
+
+
+def _to_poly(entry: Rows) -> LaurentPoly:
+    return LaurentPoly.from_nonzero({
+        (lo + i, s): c for s, (lo, row) in entry.items()
+        for i, c in enumerate(row) if c})
+
+
 def rho_word(w: Word) -> PolyMatrix:
     """Left-to-right product of the letter images; dimension = strand count.
 
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
     which is exact and agrees entry-for-entry with the generic matrix
-    product.  Crossings multiply by t^+-1 and s^+-1 as exponent shifts
-    (LaurentPoly.shift), not through the general product.
+    product.  During the walk each entry is kept as dense t-rows keyed by
+    the power of s (Rows): t^+-1 moves a row's offset, s^+-1 re-keys the
+    rows, and a crossing's a + b - b' is x + (1 - t^+-1) y, one pass per
+    row.  Each entry becomes a LaurentPoly once, at the end.
     """
     n = w.n
-    cols: list[list[LaurentPoly]] = [
-        [ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    check_dimension(n)
+    one: Rows = {0: (0, [1])}
+    zero: Rows = {}
+    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
     for letter in w:
         if letter.kind == ZETA:
             if letter.sign == 1:
@@ -74,16 +131,21 @@ def rho_word(w: Word) -> PolyMatrix:
             raise WordError(f"letter {letter} has no image at dimension {n}")
         a, b = k - 1, k
         col_a, col_b = cols[a], cols[b]
-        if letter.kind == TAU:
-            cols[a] = [p.shift(0, -1) for p in col_b]
-            cols[b] = [p.shift(0, 1) for p in col_a]
-        elif letter.sign == 1:  # b' = t a, a' = (1-t) a + b = a + b - b'
-            cols[b] = [p.shift(1, 0) for p in col_a]
-            cols[a] = [p + q - r for p, q, r in zip(col_a, col_b, cols[b])]
-        else:  # a' = t^-1 b, b' = a + (1-t^-1) b = a + b - a'
-            cols[a] = [p.shift(-1, 0) for p in col_b]
-            cols[b] = [p + q - r for p, q, r in zip(col_a, col_b, cols[a])]
-    return PolyMatrix.from_polys(tuple(zip(*cols)))
+        if letter.kind == TAU:  # a' = s^-1 b, b' = s a
+            cols[a] = [{s - 1: row for s, row in p.items()} for p in col_b]
+            cols[b] = [{s + 1: row for s, row in p.items()} for p in col_a]
+        elif letter.sign == 1:  # b' = t a, a' = a + b - b' = b + (1-t) a
+            cols[b] = [{s: (lo + 1, row) for s, (lo, row) in p.items()}
+                       for p in col_a]
+            cols[a] = [_cross(q, p, 1) for p, q in zip(col_a, col_b)]
+        else:  # a' = t^-1 b, b' = a + b - a' = a + (1-t^-1) b
+            cols[a] = [{s: (lo - 1, row) for s, (lo, row) in p.items()}
+                       for p in col_b]
+            cols[b] = [_cross(p, q, -1) for p, q in zip(col_a, col_b)]
+    # entries no crossing touched come back as the shared ONE and ZERO
+    polys = [[ONE if entry is one else _to_poly(entry) if entry else ZERO
+              for entry in col] for col in cols]
+    return PolyMatrix.from_polys(tuple(zip(*polys)))
 
 
 # Evaluation at a point is a ring homomorphism Z[t^+-1, s^+-1] -> Z/p, so a

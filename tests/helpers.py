@@ -6,6 +6,7 @@ from itertools import product
 
 import hypothesis.strategies as st
 
+from mnmap.laurent import ONE, ZERO, LaurentPoly, PolyMatrix
 from mnmap.maps import mn_map
 from mnmap.reps import (
     DEFAULT_ARTIN_BUDGET,
@@ -93,6 +94,17 @@ def random_pure_word(rng: random.Random, flavor: Flavor, blocks: int) -> Word:
             u = random_word(rng, flavor, rng.randint(1, 3))
             word = word * u * u.inverse()
     return word
+
+
+def cancelling_word(rng: random.Random, flavor: Flavor, length: int) -> Word:
+    """p u u^-1 q of the given length, u u^-1 about half of it: through u
+    the entries grow, and u^-1 cancels them back to the image of p, so
+    whole s-slices and whole entries go to zero along the way."""
+    half = length // 4
+    p = random_word(rng, flavor, rng.randint(0, half))
+    u = random_word(rng, flavor, half)
+    q = random_word(rng, flavor, max(length - len(p) - 2 * half, 0))
+    return p * u * u.inverse() * q
 
 
 def relation_identities(n: int) -> list[tuple[str, Word, Word]]:
@@ -183,3 +195,33 @@ def reference_artin(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
                 f"image length {reached} exceeded budget of {budget} "
                 f"letters at letter {position} of {len(w)}")
     return FreeAut(w.n, tuple(images))
+
+
+def reference_rho_word(w: Word) -> PolyMatrix:
+    """rho_word as a walk over sparse LaurentPoly columns: each crossing
+    multiplies by t^+-1 or s^+-1 by moving every exponent pair, then forms
+    a + b - b' with LaurentPoly addition and subtraction."""
+    def shift(p: LaurentPoly, dt: int, ds: int) -> LaurentPoly:
+        return LaurentPoly({(a + dt, b + ds): c for a, b, c in p.terms()})
+
+    n = w.n
+    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    for letter in w:
+        if letter.kind == ZETA:
+            if letter.sign == 1:
+                cols = [cols[-1]] + cols[:-1]
+            else:
+                cols = cols[1:] + [cols[0]]
+            continue
+        a, b = letter.index - 1, letter.index
+        col_a, col_b = cols[a], cols[b]
+        if letter.kind == TAU:
+            cols[a] = [shift(p, 0, -1) for p in col_b]
+            cols[b] = [shift(p, 0, 1) for p in col_a]
+        elif letter.sign == 1:  # b' = t a, a' = a + b - b'
+            cols[b] = [shift(p, 1, 0) for p in col_a]
+            cols[a] = [p + q - r for p, q, r in zip(col_a, col_b, cols[b])]
+        else:  # a' = t^-1 b, b' = a + b - a'
+            cols[a] = [shift(p, -1, 0) for p in col_b]
+            cols[b] = [p + q - r for p, q, r in zip(col_a, col_b, cols[a])]
+    return PolyMatrix(list(zip(*cols)))

@@ -4,7 +4,7 @@ import pytest
 
 from mnmap import kernel, maps, reps
 from mnmap.cli import main
-from mnmap.laurent import PolyMatrix
+from mnmap.laurent import MAX_DIMENSION, PolyMatrix
 from mnmap.maps import mn_map
 from mnmap.reps import rho_word
 from mnmap.words import MAX_WORD_LETTERS, classical, parse_word, vcb
@@ -164,6 +164,20 @@ class TestErrors:
         code, out, err = run(capsys, "search", "--n", "100000", "--k", "1",
                              "--d", "1", "--max-len", "2")
         assert code == 2 and out == "" and "n must be in 1..32" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rho", "--n", str(MAX_DIMENSION + 1), "s1"),
+        ("mn", "--n", str(MAX_DIMENSION + 1), "--k", "1", "--d", "1",
+         "s2^2"),
+        ("verify-thm2", "--m", str(MAX_DIMENSION // 2 + 1), "--k", "1"),
+        ("defect", "--i", "1", "--k", "1", "--n", str(MAX_DIMENSION + 1),
+         "--d", "1"),
+    ])
+    def test_dimension_over_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"cap of {MAX_DIMENSION}" in err
 
     def test_search_negative_max_len(self, capsys):
         code, out, err = run(capsys, "search", "--n", "2", "--k", "1", "--d",

@@ -13,6 +13,7 @@ from mnmap.kernel import (
     verify_theorem1,
     verify_theorem2,
 )
+from mnmap.laurent import MAX_DIMENSION
 from mnmap.maps import mn_map, project_pk
 from mnmap.reps import (
     ArtinBudgetError,
@@ -130,6 +131,17 @@ class TestTheorem2:
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
             verify_theorem2(0, 1)
+
+    def test_dimension_bounded_before_the_witness_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the witness was built before the "
+                                 "dimension check")
+
+        monkeypatch.setattr(kernel, "sigma", built)
+        monkeypatch.setattr(kernel, "mn_map", built)
+        m = MAX_DIMENSION // 2 + 1
+        with pytest.raises(ValueError, match=f"cap of {MAX_DIMENSION}"):
+            verify_theorem2(m, 1)
 
 
 @pytest.fixture

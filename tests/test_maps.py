@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_pure_word, random_word
-from mnmap.laurent import ONE, PolyMatrix, T_INV
+from mnmap import maps
+from mnmap.laurent import MAX_DIMENSION, ONE, PolyMatrix, T_INV
 from mnmap.maps import (
     PurityError,
     UnsupportedLetterError,
@@ -174,6 +175,15 @@ class TestMnMap:
             w = Word(classical(n + 1), (u * u.inverse()).letters)
             assert (mn_map(w, k, 1) * mn_map(w.inverse(), k, 1)).is_identity()
 
+    def test_dimension_bounded_before_projecting(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("projected before the dimension check")
+
+        monkeypatch.setattr(maps, "project_pk", built)
+        w = parse_word("s2^2", classical(MAX_DIMENSION + 2))
+        with pytest.raises(ValueError, match=f"cap of {MAX_DIMENSION}"):
+            mn_map(w, 1, 1)
+
     def test_projection_commutes_with_free_reduce_on_regular_letters(self):
         rng = random.Random(37)
         for _ in range(15):
@@ -213,6 +223,14 @@ class TestCancellationDefect:
             cancellation_defect(0, 1, 2, 1)
         with pytest.raises(UnsupportedLetterError):
             cancellation_defect(2, 1, 2, 1)
+
+    def test_dimension_bounded(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("built before the dimension check")
+
+        monkeypatch.setattr(maps, "pk_letter_image", built)
+        with pytest.raises(ValueError, match=f"cap of {MAX_DIMENSION}"):
+            cancellation_defect(1, 1, MAX_DIMENSION + 1, 1)
 
     def test_k_validation(self):
         for k in (0, 5, 50):

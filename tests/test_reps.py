@@ -5,14 +5,25 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    cancelling_word,
     random_word,
     reference_artin,
+    reference_rho_word,
     relation_identities,
     word_pairs_st,
     words_st,
 )
 from mnmap import reps
-from mnmap.laurent import LaurentPoly, ONE, PolyMatrix, S, S_INV, T, T_INV
+from mnmap.laurent import (
+    MAX_DIMENSION,
+    LaurentPoly,
+    ONE,
+    PolyMatrix,
+    S,
+    S_INV,
+    T,
+    T_INV,
+)
 from mnmap.reps import (
     ArtinBudgetError,
     FreeAut,
@@ -66,6 +77,10 @@ class TestRhoLetter:
     def test_index_out_of_range(self):
         with pytest.raises(WordError):
             rho_letter(sigma(2), 2)
+
+    def test_dimension_bounded(self):
+        with pytest.raises(ValueError, match=f"cap of {MAX_DIMENSION}"):
+            rho_letter(sigma(1), MAX_DIMENSION + 1)
 
     def test_every_generator_times_inverse_is_identity(self):
         for n in range(2, 7):
@@ -168,6 +183,57 @@ class TestRhoWord:
     @given(words_st(max_len=14))
     def test_specializes_to_permutation_matrix(self, w):
         assert rho_word(w).specialize(1, 1) == w.permutation().matrix()
+
+    def test_dimension_bounded(self):
+        with pytest.raises(ValueError, match=f"cap of {MAX_DIMENSION}"):
+            rho_word(Word(vcb(MAX_DIMENSION + 1), (sigma(1),)))
+        assert rho_word(Word(vcb(MAX_DIMENSION))).is_identity()
+
+
+def walk_words() -> list[Word]:
+    """200 seeded vcb words of up to 150 letters on 2..6 strands, a third
+    of them p u u^-1 q, where whole s-slices and entries cancel."""
+    rng = random.Random(2027)
+    words = []
+    for i in range(200):
+        flavor = vcb(rng.randint(2, 6))
+        length = rng.randint(0, 150)
+        words.append(cancelling_word(rng, flavor, length) if i % 3 == 0
+                     else random_word(rng, flavor, length))
+    return words
+
+
+class TestRhoWordWalk:
+    """rho_word's dense t-rows against the sparse column walk and against
+    the generic product of the letter matrices."""
+
+    WORDS = walk_words()
+
+    def test_words_use_every_letter_kind(self):
+        assert {(letter.kind, letter.sign) for w in self.WORDS
+                for letter in w} == {(kind, sign) for kind in "stz"
+                                     for sign in (1, -1)}
+        assert max(len(w) for w in self.WORDS) > 140
+
+    def test_matches_reference_walk_and_letter_product(self):
+        for w in self.WORDS:
+            product = PolyMatrix.identity(w.n)
+            for letter in w:
+                product = product * rho_letter(letter, w.n)
+            image = rho_word(w)
+            assert image == reference_rho_word(w) == product, str(w)
+
+    def test_entries_canonical(self):
+        for w in self.WORDS:
+            for row in rho_word(w).rows:
+                for entry in row:
+                    assert type(entry) is LaurentPoly
+                    assert all(c != 0 for _, _, c in entry.terms()), str(w)
+
+    def test_word_times_inverse_is_identity(self):
+        for w in self.WORDS:
+            image = rho_word(w * w.inverse())
+            assert image == PolyMatrix.identity(w.n), str(w)
 
 
 def evaluate_mod(poly: LaurentPoly, t0: int, s0: int, p: int) -> int:
