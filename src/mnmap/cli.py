@@ -17,13 +17,6 @@ import sys
 
 from . import kernel, maps, reps, words
 
-_FLAVORS = {
-    "classical": words.classical,
-    "cylindrical": words.cylindrical,
-    "vcb": words.vcb,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # one-line diagnostic, exit 2
         raise UsageError(message)
@@ -45,8 +38,9 @@ def _build_parser() -> _Parser:
             p.add_argument("word", help="word in the token grammar, e.g. 's1 s2^-1'")
         for flag in flags:
             if flag == "--flavor":
-                p.add_argument("--flavor", choices=sorted(_FLAVORS),
-                               default="classical")
+                p.add_argument("--flavor", default=words.CLASSICAL,
+                               choices=(words.CLASSICAL, words.CYLINDRICAL,
+                                        words.VCB))
             else:
                 p.add_argument(flag, type=int, required=True)
         p.add_argument("--format", choices=["text", "json"], default="text")
@@ -92,10 +86,10 @@ def _emit_matrix(matrix, fmt: str) -> str:
 def _run(args: argparse.Namespace) -> tuple[int, str]:
     fmt = args.format
     if args.command == "reduce":
-        w = words.parse_word(args.word, _FLAVORS[args.flavor](args.n))
+        w = words.parse_word(args.word, words.Flavor(args.flavor, args.n))
         return 0, _emit_word(w.free_reduce(), fmt)
     if args.command == "perm":
-        w = words.parse_word(args.word, _FLAVORS[args.flavor](args.n))
+        w = words.parse_word(args.word, words.Flavor(args.flavor, args.n))
         perm = w.permutation()
         if fmt == "json":
             return 0, json.dumps({"images": list(perm.images)})
@@ -107,7 +101,7 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         w = words.parse_word(args.word, words.cylindrical(args.n))
         return 0, _emit_word(maps.stabilize_fd(w, args.d), fmt)
     if args.command == "rho":
-        w = words.parse_word(args.word, _FLAVORS[args.flavor](args.n))
+        w = words.parse_word(args.word, words.Flavor(args.flavor, args.n))
         return 0, _emit_matrix(reps.rho_word(w), fmt)
     if args.command == "burau":
         w = words.parse_word(args.word, words.classical(args.n))

@@ -36,6 +36,7 @@ from .words import (
     Word,
     WordError,
     classical,
+    commutator,
     cylindrical,
     parse_word,
     sigma,
@@ -70,7 +71,7 @@ def bigelow_alpha() -> Word:
     psi2 = parse_word(_PSI2, flavor)
     left = _conjugate(psi1, parse_word("s4", flavor))
     right = _conjugate(psi2, parse_word(_MIDDLE, flavor))
-    alpha = (left * right * left.inverse() * right.inverse()).free_reduce()
+    alpha = commutator(left, right).free_reduce()
     if not alpha.is_pure():
         raise WitnessError("witness is not a pure braid")
     if not burau(alpha).is_identity():
@@ -114,6 +115,19 @@ class VerificationReport:
         }
 
 
+def _report(witness: Word, params: dict) -> VerificationReport:
+    """Push the witness through the composite map at params' k and d and
+    decide its word problem by handle reduction."""
+    image = mn_map(witness, k=params["k"], d=params["d"])
+    return VerificationReport(
+        witness=witness,
+        params=params,
+        image=image,
+        image_is_identity=image.is_identity(),
+        witness_nontrivial=not is_trivial_braid(witness),
+    )
+
+
 def verify_theorem1(d: int) -> VerificationReport:
     """Push the lifted Burau-kernel witness through the composite map with
     distinguished strand 6: the image must be the 5x5 identity while the
@@ -121,15 +135,7 @@ def verify_theorem1(d: int) -> VerificationReport:
     shift, so the matrix is the same for every d >= 1."""
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    witness = lift_witness(bigelow_alpha())
-    image = mn_map(witness, k=6, d=d)
-    return VerificationReport(
-        witness=witness,
-        params={"k": 6, "d": d},
-        image=image,
-        image_is_identity=image.is_identity(),
-        witness_nontrivial=not is_trivial_braid(witness),
-    )
+    return _report(lift_witness(bigelow_alpha()), {"k": 6, "d": d})
 
 
 def verify_theorem2(m: int, k: int) -> VerificationReport:
@@ -143,14 +149,7 @@ def verify_theorem2(m: int, k: int) -> VerificationReport:
     n = 2 * m
     check_dimension(n)
     witness = Word(classical(n + 1), (sigma(k, -1),) * (2 * m))
-    image = mn_map(witness, k=k, d=1)
-    return VerificationReport(
-        witness=witness,
-        params={"m": m, "k": k, "d": 1},
-        image=image,
-        image_is_identity=image.is_identity(),
-        witness_nontrivial=not is_trivial_braid(witness),
-    )
+    return _report(witness, {"m": m, "k": k, "d": 1})
 
 
 @dataclass(frozen=True)
@@ -252,10 +251,8 @@ def _image_matrix(image: tuple[Letter, ...], n: int) -> PolyMatrix:
 
 def _product_is_identity(matrices: Iterable[PolyMatrix]) -> bool:
     """Whether the generic product of a non-empty sequence of letter image
-    matrices (from _image_matrix) is the identity.  This is the hits'
-    second evaluation: generic matrix products, independent of rho_word's
-    column operations, but from the same stabilized letter images, so it
-    shares the substitution table with the first."""
+    matrices (from _image_matrix) is the identity: a hit's second
+    evaluation (see SearchResult)."""
     return functools.reduce(operator.mul, matrices).is_identity()
 
 
@@ -268,11 +265,9 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     A candidate's image is rho of the concatenated stabilized letter
     images, which is mn_map applied letter-wise.  Only candidates that
     pass the Z/p screen of _pure_reduced_ranks are evaluated exactly, by
-    rho_word.  Each hit is then re-verified by _product_is_identity from
-    the alphabet letters' image matrices, built once per call by
-    _image_matrix from the same stabilized images.  workers is accepted
-    and ignored: the search runs in the calling thread and its result never
-    depended on it.
+    rho_word, and each hit is re-verified (see SearchResult).  workers is
+    accepted and ignored: the search runs in the calling thread and its
+    result never depended on it.
     """
     if not 1 <= max_len <= SEARCH_MAX_LEN:
         raise ValueError(f"max_len must be in 1..{SEARCH_MAX_LEN}, "

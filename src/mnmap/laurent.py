@@ -58,9 +58,6 @@ class LaurentPoly:
                             "Laurent polynomial")
         return result
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -105,16 +102,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = terms.get(key, 0) - coeff
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = terms
-        return result
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> LaurentPoly:
         return (-self) + other

@@ -85,7 +85,8 @@ def pk_letter_image(index: int, sign: int, k: int, n: int
 
 def project_pk(w: Word, k: int) -> Word:
     """Letter-wise projection of a pure classical word on n+1 strands to a
-    cylindrical word on n strands, distinguished strand k."""
+    cylindrical word on n strands, distinguished strand k.  The result is
+    capped at MAX_WORD_LETTERS letters, checked before it is built."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"project_pk expects a classical word, got {w.flavor!r}")
     if w.n < 2:
@@ -95,18 +96,28 @@ def project_pk(w: Word, k: int) -> Word:
         raise ValueError(f"k must be in 1..{w.n}, got {k}")
     if not w.is_pure():
         raise PurityError("project_pk is defined on pure braids only")
-    letters: list[Letter] = []
+    size = 0
     for position, letter in enumerate(w):
-        try:
-            letters.extend(pk_letter_image(letter.index, letter.sign, k, n))
-        except UnsupportedLetterError as err:
+        i = letter.index
+        if not pk_supports(i, k, n):
             raise UnsupportedLetterError(
-                f"letter {letter} at position {position}: {err}",
-                position=position, letter=letter) from None
+                f"letter {letter} at position {position}: sigma_{i} maps to "
+                f"index {k - i - 1}, outside 1..{n - 1}",
+                position=position, letter=letter)
+        # sigma_{k-1}^-1 and sigma_k become delta_c^{+-1}, n-1 letters each
+        size += n - 1 if (i, letter.sign) in ((k - 1, -1), (k, 1)) else 1
+    if size > MAX_WORD_LETTERS:
+        raise ValueError(f"projected word would have {size} letters, over "
+                         f"the cap of {MAX_WORD_LETTERS}")
+    letters: list[Letter] = []
+    for letter in w:
+        letters.extend(pk_letter_image(letter.index, letter.sign, k, n))
     return Word(cylindrical(n), tuple(letters))
 
 
 def _zeta_image_letters(n: int, d: int) -> tuple[Letter, ...]:
+    if d == 1:
+        return (zeta(),)
     period = _delta_v_letters(n) + (zeta(),)
     return (zeta(),) + period * (d - 1)
 

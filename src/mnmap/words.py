@@ -128,10 +128,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -258,7 +254,8 @@ def delta_v(n: int) -> Word:
     return Word(vcb(n), tuple(tau(i) for i in range(1, n)))
 
 
-# Longest word that parse_word and maps.stabilize_fd will build.
+# Longest word that parse_word, maps.project_pk and maps.stabilize_fd will
+# build.
 MAX_WORD_LETTERS = 10 ** 6
 
 # Longest number, leading zeros aside, that a token may carry: far above any

@@ -65,6 +65,19 @@ class TestHappyPaths:
         code, out, _ = run(capsys, "rho", "--n", "2", "--flavor", "vcb", "t1")
         assert code == 0 and out == "[0, s]\n[s^-1, 0]\n"
 
+    @pytest.mark.parametrize("command", ["reduce", "perm", "rho"])
+    @pytest.mark.parametrize("flavor", ["classical", "cylindrical", "vcb"])
+    def test_each_flavor(self, capsys, command, flavor):
+        code, out, err = run(capsys, command, "--n", "4", "--flavor", flavor,
+                             "s1 s2^-1")
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("command", ["reduce", "perm", "rho"])
+    def test_unknown_flavor(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "3", "--flavor",
+                             "virtual", "s1")
+        assert code == 2 and out == "" and "--flavor" in err
+
     def test_trivial(self, capsys):
         code, out, _ = run(capsys, "trivial", "--n", "3", "s1 s1^-1")
         assert code == 0 and out == "true\n"
@@ -193,6 +206,13 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cap" in err
+
+    def test_projection_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 3)
+        code, out, err = run(capsys, "pk", "--n", "3", "--k", "1", "s1 s1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "4 letters, over the cap of 3" in err
 
     def test_oversized_number(self, capsys):
         code, out, err = run(capsys, "burau", "--n", "3", "s1^" + "9" * 5000)

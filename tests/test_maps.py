@@ -62,6 +62,35 @@ class TestProject:
             project_pk(w, 1)
         assert exc.value.position == 0
 
+    def test_unsupported_letter_found_before_building(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("project_pk built an image before checking "
+                                 "support")
+
+        monkeypatch.setattr(maps, "pk_letter_image", built)
+        w = parse_word("s1 s1 s2 s2", classical(3))  # s2 unsupported at k=1
+        with pytest.raises(UnsupportedLetterError) as exc:
+            project_pk(w, 1)
+        assert exc.value.position == 2 and exc.value.letter == sigma(2)
+        assert "position 2" in str(exc.value)
+
+    def test_size_cap_checked_before_building(self, monkeypatch):
+        # at n = 3, k = 4: sigma_3^-1 -> delta_c (2 letters), sigma_3 ->
+        # zeta^-1, sigma_1^{+-1} -> sigma_2^{+-1}: 5 letters in all
+        w = parse_word("s3^-1 s3 s1^-1 s1", classical(4))
+        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 5)
+        assert project_pk(w, 4) == parse_word("s1 s2 z^-1 s2^-1 s2",
+                                              cylindrical(3))
+
+        def built(*args):
+            raise AssertionError("project_pk built an image before the "
+                                 "size check")
+
+        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 4)
+        monkeypatch.setattr(maps, "pk_letter_image", built)
+        with pytest.raises(ValueError, match="5 letters, over the cap of 4"):
+            project_pk(w, 4)
+
     def test_supports_matches_case_table(self):
         for n in range(1, 6):
             for k in range(1, n + 2):
@@ -108,9 +137,13 @@ class TestProject:
 
 
 class TestStabilize:
-    def test_d1_fixes_zeta(self):
-        w = parse_word("z", cylindrical(3))
-        assert stabilize_fd(w, 1) == parse_word("z", vcb(3))
+    def test_d1_fixes_zeta(self, monkeypatch):
+        def built(n):
+            raise AssertionError("the virtual period was built at d = 1")
+
+        monkeypatch.setattr(maps, "_delta_v_letters", built)
+        w = parse_word("z z^-1 s1", cylindrical(3))
+        assert stabilize_fd(w, 1) == parse_word("z z^-1 s1", vcb(3))
 
     def test_d2_weaves_virtual_crossings(self):
         w = parse_word("z", cylindrical(3))
