@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from typing import Iterable
 
@@ -90,16 +90,13 @@ def lift_witness(alpha: Word) -> Word:
     return Word(classical(6), tuple(letters))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "witness params image image_is_identity witness_nontrivial")):
     """Outcome of one unfaithfulness check: a witness word, the composite
     map's parameters, its image matrix, and the two oracle verdicts."""
 
-    witness: Word
-    params: dict
-    image: PolyMatrix
-    image_is_identity: bool
-    witness_nontrivial: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -152,8 +149,7 @@ def verify_theorem2(m: int, k: int) -> VerificationReport:
     return _report(witness, {"m": m, "k": k, "d": 1})
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", "word verified freely_trivial")):
     """A freely reduced word whose composite image is the identity matrix.
     verified records a second evaluation of that image by an independent
     matrix computation: the generic product of the word's letters' image
@@ -163,9 +159,7 @@ class SearchResult:
     letter-wise substitution (pk_letter_image and stabilize_fd), so an
     error in that table would pass both."""
 
-    word: Word
-    verified: bool
-    freely_trivial: bool
+    __slots__ = ()
 
 
 def _pure_reduced_ranks(alphabet: list[Letter],

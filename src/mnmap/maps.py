@@ -85,8 +85,8 @@ def pk_letter_image(index: int, sign: int, k: int, n: int
 
 def project_pk(w: Word, k: int) -> Word:
     """Letter-wise projection of a pure classical word on n+1 strands to a
-    cylindrical word on n strands, distinguished strand k.  The result is
-    capped at MAX_WORD_LETTERS letters, checked before it is built."""
+    cylindrical word on n strands, distinguished strand k.  Support and the
+    result's MAX_WORD_LETTERS cap are checked first, then purity (O(n))."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"project_pk expects a classical word, got {w.flavor!r}")
     if w.n < 2:
@@ -94,8 +94,6 @@ def project_pk(w: Word, k: int) -> Word:
     n = w.n - 1
     if not 1 <= k <= w.n:
         raise ValueError(f"k must be in 1..{w.n}, got {k}")
-    if not w.is_pure():
-        raise PurityError("project_pk is defined on pure braids only")
     size = 0
     for position, letter in enumerate(w):
         i = letter.index
@@ -109,6 +107,8 @@ def project_pk(w: Word, k: int) -> Word:
     if size > MAX_WORD_LETTERS:
         raise ValueError(f"projected word would have {size} letters, over "
                          f"the cap of {MAX_WORD_LETTERS}")
+    if not w.is_pure():
+        raise PurityError("project_pk is defined on pure braids only")
     letters: list[Letter] = []
     for letter in w:
         letters.extend(pk_letter_image(letter.index, letter.sign, k, n))

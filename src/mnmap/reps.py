@@ -17,7 +17,7 @@ map under free reduction a property of the construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .laurent import (
@@ -237,13 +237,11 @@ def _junction(a: FreeWord, a_inv: FreeWord, b: FreeWord) -> FreeWord:
     return a[:len(a) - m] + b[m:]
 
 
-@dataclass(frozen=True)
-class FreeAut:
+class FreeAut(namedtuple("FreeAut", "n images")):
     """Endomorphism of the free group of rank n, given by freely reduced
-    images of the generators x_1..x_n."""
+    images (tuple[FreeWord, ...]) of the generators x_1..x_n."""
 
-    n: int
-    images: tuple[FreeWord, ...]
+    __slots__ = ()
 
     @classmethod
     def identity(cls, n: int) -> FreeAut:

@@ -8,7 +8,7 @@ ask for it.  Strand indices are 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Letter kinds, named by their token in the word grammar.
 SIGMA = "s"  # classical crossing
@@ -31,25 +31,23 @@ class WordError(ValueError):
     """Malformed word: bad token, flavor violation, or index out of range."""
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(namedtuple("Letter", "kind index sign")):
     """One generator symbol: kind in {SIGMA, TAU, ZETA}, 1-based index
     (0 for the index-less cyclic shift), and sign +1 or -1."""
 
-    kind: str
-    index: int
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (SIGMA, TAU, ZETA):
-            raise WordError(f"unknown letter kind {self.kind!r}")
-        if self.sign not in (1, -1):
-            raise WordError(f"letter sign must be +1 or -1, got {self.sign}")
-        if self.kind == ZETA:
-            if self.index != 0:
+    def __new__(cls, kind: str, index: int, sign: int) -> Letter:
+        if kind not in (SIGMA, TAU, ZETA):
+            raise WordError(f"unknown letter kind {kind!r}")
+        if sign not in (1, -1):
+            raise WordError(f"letter sign must be +1 or -1, got {sign}")
+        if kind == ZETA:
+            if index != 0:
                 raise WordError("the cyclic shift carries no index")
-        elif self.index < 1:
-            raise WordError(f"strand index must be >= 1, got {self.index}")
+        elif index < 1:
+            raise WordError(f"strand index must be >= 1, got {index}")
+        return tuple.__new__(cls, (kind, index, sign))
 
     def inverse(self) -> Letter:
         return Letter(self.kind, self.index, -self.sign)
@@ -74,19 +72,18 @@ def zeta(sign: int = 1) -> Letter:
     return Letter(ZETA, 0, sign)
 
 
-@dataclass(frozen=True)
-class Flavor:
+class Flavor(namedtuple("Flavor", "group n")):
     """Group flavor: which letter kinds a word admits, and the strand count n.
     Generators sigma_i / tau_i require 1 <= i <= n-1."""
 
-    group: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.group not in _ADMITTED:
-            raise WordError(f"unknown flavor {self.group!r}")
-        if self.n < 1:
-            raise WordError(f"strand count must be >= 1, got {self.n}")
+    def __new__(cls, group: str, n: int) -> Flavor:
+        if group not in _ADMITTED:
+            raise WordError(f"unknown flavor {group!r}")
+        if n < 1:
+            raise WordError(f"strand count must be >= 1, got {n}")
+        return tuple.__new__(cls, (group, n))
 
     def check(self, letter: Letter) -> None:
         if letter.kind not in _ADMITTED[self.group]:
@@ -112,8 +109,7 @@ def vcb(n: int) -> Flavor:
     return Flavor(VCB, n)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """Bijection of {1..n}; images[i-1] is the destination of strand i.
 
     The product convention matches matrix multiplication of permutation
@@ -121,12 +117,13 @@ class Permutation:
     (p * q)(x) = p(q(x)).
     """
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+    def __new__(cls, images: tuple[int, ...]) -> Permutation:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {images}")
+        return tuple.__new__(cls, (images,))
 
     @property
     def n(self) -> int:
@@ -159,16 +156,32 @@ class Permutation:
         return " ".join(f"{i}->{j}" for i, j in enumerate(self.images, 1))
 
 
-@dataclass(frozen=True)
 class Word:
     """A finite letter sequence in a fixed flavor."""
 
-    flavor: Flavor
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("flavor", "letters")
 
-    def __post_init__(self) -> None:
-        for letter in self.letters:
-            self.flavor.check(letter)
+    def __init__(self, flavor: Flavor, letters: tuple[Letter, ...] = ()):
+        for letter in letters:
+            flavor.check(letter)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Word, (self.flavor, self.letters)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flavor, self.letters) == (other.flavor, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.flavor, self.letters))
 
     @property
     def n(self) -> int:

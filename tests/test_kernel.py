@@ -244,14 +244,14 @@ class TestSearch:
 
     def test_classical_words_built_only_for_hits(self, monkeypatch):
         built = []
-        original = Word.__post_init__
+        original = Word.__init__
 
-        def counting(self):
-            if self.flavor.group == CLASSICAL:
+        def counting(self, flavor, letters=()):
+            if flavor.group == CLASSICAL:
                 built.append(self)
-            original(self)
+            original(self, flavor, letters)
 
-        monkeypatch.setattr(Word, "__post_init__", counting)
+        monkeypatch.setattr(Word, "__init__", counting)
         results = search_kernel(n=3, k=2, d=1, max_len=6)
         assert len(results) == 50
         assert built == [r.word for r in results]

@@ -62,6 +62,11 @@ class TestProject:
             project_pk(w, 1)
         assert exc.value.position == 0
 
+    def test_unsupported_before_purity(self):
+        # s2 alone is neither pure nor supported at k = 1
+        with pytest.raises(UnsupportedLetterError):
+            project_pk(parse_word("s2", classical(3)), 1)
+
     def test_unsupported_letter_found_before_building(self, monkeypatch):
         def built(*args):
             raise AssertionError("project_pk built an image before checking "
@@ -88,6 +93,17 @@ class TestProject:
 
         monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 4)
         monkeypatch.setattr(maps, "pk_letter_image", built)
+        with pytest.raises(ValueError, match="5 letters, over the cap of 4"):
+            project_pk(w, 4)
+
+    def test_size_cap_checked_before_purity(self, monkeypatch):
+        def permutation(self):
+            raise AssertionError("project_pk checked purity before the size "
+                                 "check")
+
+        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 4)
+        monkeypatch.setattr(Word, "permutation", permutation)
+        w = parse_word("s3^-1 s3 s1^-1 s1", classical(4))
         with pytest.raises(ValueError, match="5 letters, over the cap of 4"):
             project_pk(w, 4)
 
