@@ -285,9 +285,10 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     for bucket in _pure_reduced_ranks(alphabet, images, n, max_len):
         for ranks in bucket:
             letters = tuple(chain.from_iterable(images[r] for r in ranks))
-            if reps.rho_word(Word(target, letters)).is_identity():
+            if reps.rho_word(Word._trusted(target, letters)).is_identity():
                 results.append(SearchResult(
-                    word=Word(domain, tuple(alphabet[r] for r in ranks)),
+                    word=Word._trusted(domain,
+                                       tuple(alphabet[r] for r in ranks)),
                     verified=_product_is_identity(matrices[r] for r in ranks),
                     freely_trivial=False))
     return results

@@ -250,14 +250,6 @@ class PolyMatrix:
             tuple(_dot(row, column) for column in columns)
             for row in self.rows))
 
-    def __pow__(self, e: int) -> PolyMatrix:
-        if e < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = PolyMatrix.identity(self.n)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def is_identity(self) -> bool:
         return all((entry == ONE) if i == j else not entry
                    for i, row in enumerate(self.rows)

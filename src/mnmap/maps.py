@@ -86,7 +86,7 @@ def pk_letter_image(index: int, sign: int, k: int, n: int
 def project_pk(w: Word, k: int) -> Word:
     """Letter-wise projection of a pure classical word on n+1 strands to a
     cylindrical word on n strands, distinguished strand k.  Support and the
-    result's MAX_WORD_LETTERS cap are checked first, then purity (O(n))."""
+    result's MAX_WORD_LETTERS cap are checked first, then purity."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"project_pk expects a classical word, got {w.flavor!r}")
     if w.n < 2:
@@ -112,7 +112,7 @@ def project_pk(w: Word, k: int) -> Word:
     letters: list[Letter] = []
     for letter in w:
         letters.extend(pk_letter_image(letter.index, letter.sign, k, n))
-    return Word(cylindrical(n), tuple(letters))
+    return Word._trusted(cylindrical(n), tuple(letters))
 
 
 def _zeta_image_letters(n: int, d: int) -> tuple[Letter, ...]:
@@ -145,7 +145,7 @@ def stabilize_fd(w: Word, d: int) -> Word:
             letters.append(letter)
         else:
             letters.extend(zimg if letter.sign == 1 else zimg_inv)
-    return Word(vcb(n), tuple(letters))
+    return Word._trusted(vcb(n), tuple(letters))
 
 
 def mn_map(w: Word, k: int, d: int) -> PolyMatrix:

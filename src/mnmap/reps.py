@@ -17,6 +17,7 @@ map under free reduction a property of the construction.
 """
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from typing import Iterable
 
@@ -61,46 +62,79 @@ def rho_letter(letter: Letter, n: int) -> PolyMatrix:
     return PolyMatrix.from_polys(tuple(map(tuple, rows)))
 
 
-# An entry of rho_word's walk: for each power of s, the coefficients of
-# t^t_lo, t^(t_lo+1), ... in one dense list, nonzero at both ends.  Entries
-# of words' images are nearly dense in t for each power of s, though sparse
-# over the whole (t, s) box.  Lists are shared between entries and never
-# changed in place.
-Rows = dict[int, tuple[int, list[int]]]
+# rho_word's first slot width W in bits (a multiple of 8), and whether
+# 64-bit slots can be read as native unsigned words.
+_START_WIDTH = 64
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+# An entry of rho_word's walk: for each power of s, (t_lo, v), where v is
+# that s-slice's t-row c_0 + c_1 t + ... (c_i the coefficient of t^(t_lo+i))
+# evaluated at t = 2^W, one int whose W-bit slots are the signed c_i.  It
+# decodes back while every |c_i| < 2^(W-1) (_unpack).  A slice whose v is 0
+# is dropped; ints and dicts are shared and never changed in place.
+Rows = dict[int, tuple[int, int]]
 
 
-def _cross(x: Rows, y: Rows, e: int) -> Rows:
-    """x + (1 - t^e) y for e = +-1, one s-slice at a time: y and t^e y are
-    the same list at offsets t_lo and t_lo + e.  A slice that cancels to
-    nothing is dropped."""
+def _unpack(v: int, width: int) -> list[int]:
+    """The signed width-bit slots of v, lowest first, up to the highest
+    nonzero one, exact while each is below 2^(width-1) in magnitude: adding
+    2^(width-1) to every slot makes them nonnegative bytes to cut apart."""
+    half = 1 << (width - 1)
+    if -half < v < half:
+        return [v]
+    size, slots = width >> 3, v.bit_length() // width + 1
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    raw = (v + bias).to_bytes(slots * size, "little")
+    if width == 64 and _LITTLE_ENDIAN:  # one C-level read of the slots
+        return [u - half for u in memoryview(raw).cast("Q")]
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, slots * size, size)]
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """The int whose signed width-bit slots are coeffs, lowest first."""
+    size, half = width >> 3, 1 << (width - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * len(coeffs), "little")
+    return int.from_bytes(b"".join((c + half).to_bytes(size, "little")
+                                   for c in coeffs), "little") - bias
+
+
+def _repack(col: list[Rows], width: int, new_width: int
+            ) -> tuple[list[Rows], int]:
+    """col's entries at new_width with their zero low slots trimmed, and
+    the largest coefficient magnitude in them."""
+    bound, out = 0, []
+    for entry in col:
+        new = {}
+        for s, (lo, v) in entry.items():
+            coeffs = _unpack(v, width)
+            z = next(i for i, c in enumerate(coeffs) if c)
+            bound = max(bound, max(coeffs), -min(coeffs))
+            new[s] = (lo + z, v >> width * z if new_width == width
+                      else _pack(coeffs[z:], new_width))
+        out.append(new)
+    return out, bound
+
+
+def _cross(x: Rows, y: Rows, e: int, width: int) -> Rows:
+    """x + (1 - t^e) y for e = +-1, one s-slice at a time: (1 - t) y is
+    vy - (vy << width) at y's t_lo, (1 - t^-1) y is the negation one lower."""
     out = dict(x)
-    for s, (lo_y, cy) in y.items():
-        lo_x, cx = out.get(s, (lo_y, []))
-        lo_z = lo_y + e
-        lo = min(lo_x, lo_y, lo_z)
-        hi = max(lo_x + len(cx), lo_y + len(cy), lo_z + len(cy))
-        row = [p + q - r for p, q, r in zip(
-            [0] * (lo_x - lo) + cx + [0] * (hi - lo_x - len(cx)),
-            [0] * (lo_y - lo) + cy + [0] * (hi - lo_y - len(cy)),
-            [0] * (lo_z - lo) + cy + [0] * (hi - lo_z - len(cy)))]
-        if not row[0] or not row[-1]:
-            i, j = 0, len(row)
-            while i < j and not row[i]:
-                i += 1
-            while j > i and not row[j - 1]:
-                j -= 1
-            if i == j:  # only when x has this slice: y's ends stay nonzero
-                del out[s]
-                continue
-            row, lo = row[i:j], lo + i
-        out[s] = (lo, row)
+    for s, (lo, vy) in y.items():
+        if e == 1:
+            vz = vy - (vy << width)
+        else:
+            vz, lo = (vy << width) - vy, lo - 1
+        lo_x, vx = out.get(s, (lo, 0))
+        if lo_x <= lo:
+            v, lo = vx + (vz << width * (lo - lo_x)), lo_x
+        else:
+            v = (vx << width * (lo_x - lo)) + vz
+        if v:
+            out[s] = (lo, v)
+        else:
+            del out[s]
     return out
-
-
-def _to_poly(entry: Rows) -> LaurentPoly:
-    return LaurentPoly.from_nonzero({
-        (lo + i, s): c for s, (lo, row) in entry.items()
-        for i, c in enumerate(row) if c})
 
 
 def rho_word(w: Word) -> PolyMatrix:
@@ -109,42 +143,61 @@ def rho_word(w: Word) -> PolyMatrix:
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
     which is exact and agrees entry-for-entry with the generic matrix
-    product.  During the walk each entry is kept as dense t-rows keyed by
-    the power of s (Rows): t^+-1 moves a row's offset, s^+-1 re-keys the
-    rows, and a crossing's a + b - b' is x + (1 - t^+-1) y, one pass per
-    row.  Each entry becomes a LaurentPoly once, at the end.
+    product.  Each entry is kept as packed t-rows keyed by the power of s
+    (Rows), all with one slot width W: t^+-1 moves a row's offset, s^+-1
+    re-keys the rows, and a crossing's a + b - b' is x + (1 - t^+-1) y, a
+    shift and two additions per row.  Each column carries a bound on its
+    coefficients, M_x + 2 M_y after a crossing.  Before a bound would reach
+    2^(W-1), the crossing's columns are decoded to their true maxima; if
+    those still reach it, every entry is repacked at about twice the bits
+    needed.  Each entry becomes a LaurentPoly once, at the end.
     """
     n = w.n
     check_dimension(n)
-    one: Rows = {0: (0, [1])}
+    width = _START_WIDTH
+    limit = 1 << (width - 1)
+    one: Rows = {0: (0, 1)}
     zero: Rows = {}
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    bounds = [1] * n
     for letter in w:
-        if letter.kind == ZETA:
-            if letter.sign == 1:
-                cols = [cols[-1]] + cols[:-1]
-            else:
-                cols = cols[1:] + [cols[0]]
+        e = letter.sign
+        if letter.kind == ZETA:  # rotate right for zeta, left for zeta^-1
+            cols, bounds = cols[-e:] + cols[:-e], bounds[-e:] + bounds[:-e]
             continue
         k = letter.index
         if not 1 <= k <= n - 1:
             raise WordError(f"letter {letter} has no image at dimension {n}")
         a, b = k - 1, k
-        col_a, col_b = cols[a], cols[b]
         if letter.kind == TAU:  # a' = s^-1 b, b' = s a
-            cols[a] = [{s - 1: row for s, row in p.items()} for p in col_b]
+            col_a = cols[a]
+            cols[a] = [{s - 1: row for s, row in p.items()} for p in cols[b]]
             cols[b] = [{s + 1: row for s, row in p.items()} for p in col_a]
-        elif letter.sign == 1:  # b' = t a, a' = a + b - b' = b + (1-t) a
-            cols[b] = [{s: (lo + 1, row) for s, (lo, row) in p.items()}
-                       for p in col_a]
-            cols[a] = [_cross(q, p, 1) for p, q in zip(col_a, col_b)]
-        else:  # a' = t^-1 b, b' = a + b - a' = a + (1-t^-1) b
-            cols[a] = [{s: (lo - 1, row) for s, (lo, row) in p.items()}
-                       for p in col_b]
-            cols[b] = [_cross(p, q, -1) for p, q in zip(col_a, col_b)]
+            bounds[a], bounds[b] = bounds[b], bounds[a]
+            continue
+        # sigma: b' = t a, a' = b + (1-t) a; sigma^-1: a' = t^-1 b,
+        # b' = a + (1-t^-1) b.  So x' = t^e y and y' = x + (1-t^e) y.
+        x, y = (b, a) if e == 1 else (a, b)
+        bound = bounds[x] + 2 * bounds[y]
+        if bound >= limit:
+            for j in (x, y):
+                cols[j], bounds[j] = _repack(cols[j], width, width)
+            bound = bounds[x] + 2 * bounds[y]
+            if bound >= limit:
+                wider = -(-(bound.bit_length() + 1) // 4) * 8
+                for j in range(n):
+                    cols[j], bounds[j] = _repack(cols[j], width, wider)
+                width, limit = wider, 1 << (wider - 1)
+        col_x, col_y = cols[x], cols[y]
+        cols[x] = [{s: (lo + e, v) for s, (lo, v) in p.items()}
+                   for p in col_y]
+        cols[y] = [_cross(p, q, e, width) for p, q in zip(col_x, col_y)]
+        bounds[x], bounds[y] = bounds[y], bound
     # entries no crossing touched come back as the shared ONE and ZERO
-    polys = [[ONE if entry is one else _to_poly(entry) if entry else ZERO
-              for entry in col] for col in cols]
+    polys = [[ONE if entry is one else LaurentPoly.from_nonzero({
+        (lo + i, s): c for s, (lo, v) in entry.items()
+        for i, c in enumerate(_unpack(v, width)) if c}) if entry else ZERO
+        for entry in col] for col in cols]
     return PolyMatrix.from_polys(tuple(zip(*polys)))
 
 
@@ -344,8 +397,8 @@ def handle_reduce(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> Word:
     while True:
         found = _first_handle(letters)
         if found is None:
-            return Word(w.flavor, tuple(Letter(SIGMA, i, e)
-                                        for i, e in letters))
+            return Word._trusted(w.flavor, tuple(Letter(SIGMA, i, e)
+                                                 for i, e in letters))
         if steps >= max_steps:
             raise ReductionCapError(f"no terminal word within {max_steps} steps")
         letters = _free_reduce(_reduce_handle(letters, *found))

@@ -167,6 +167,15 @@ class Word:
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _trusted(cls, flavor: Flavor, letters: tuple[Letter, ...]) -> Word:
+        """The word with these letters, taken as they are: the caller
+        guarantees that every letter fits flavor, so nothing is checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "flavor", flavor)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
@@ -198,18 +207,18 @@ class Word:
         if self.flavor != other.flavor:
             raise WordError(
                 f"flavor mismatch: {self.flavor!r} vs {other.flavor!r}")
-        return Word(self.flavor, self.letters + other.letters)
+        return Word._trusted(self.flavor, self.letters + other.letters)
 
     def __pow__(self, e: int) -> Word:
         if e < 0:
             return self.inverse() ** (-e)
-        return Word(self.flavor, self.letters * e)
+        return Word._trusted(self.flavor, self.letters * e)
 
     def inverse(self) -> Word:
         """Letters reversed, every sign flipped (TAU included: the word level
         keeps formal signs even though tau^2 = e holds in the group)."""
-        return Word(self.flavor,
-                    tuple(l.inverse() for l in reversed(self.letters)))
+        return Word._trusted(
+            self.flavor, tuple(l.inverse() for l in reversed(self.letters)))
 
     def free_reduce(self) -> Word:
         """Delete adjacent pairs g g^-1 (same kind and index, opposite sign)
@@ -220,7 +229,7 @@ class Word:
                 stack.pop()
             else:
                 stack.append(letter)
-        return Word(self.flavor, tuple(stack))
+        return Word._trusted(self.flavor, tuple(stack))
 
     def permutation(self) -> Permutation:
         """Product of the letters' strand permutations in word order,
@@ -239,7 +248,18 @@ class Word:
         return Permutation(tuple(images))
 
     def is_pure(self) -> bool:
-        return self.permutation().is_identity()
+        """Whether permutation() is the identity, in O(len(w)) for any n:
+        only the slots a crossing touches are kept.  After zeta^r position
+        p shows slot p - r (mod n), and an untouched slot q holds q + 1."""
+        n, r, moved = self.n, 0, {}
+        for letter in self.letters:
+            if letter.kind == ZETA:
+                r += letter.sign
+            else:
+                p, q = (letter.index - 1 - r) % n, (letter.index - r) % n
+                moved[p], moved[q] = moved.get(q, q + 1), moved.get(p, p + 1)
+        return (r % n == 0 or len(moved) == n) and all(
+            strand == (slot + r) % n + 1 for slot, strand in moved.items())
 
     def __str__(self) -> str:
         return " ".join(str(letter) for letter in self.letters)

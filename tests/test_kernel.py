@@ -244,14 +244,21 @@ class TestSearch:
 
     def test_classical_words_built_only_for_hits(self, monkeypatch):
         built = []
-        original = Word.__init__
+        original, trusted = Word.__init__, Word._trusted
 
         def counting(self, flavor, letters=()):
             if flavor.group == CLASSICAL:
                 built.append(self)
             original(self, flavor, letters)
 
+        def counting_trusted(flavor, letters):
+            w = trusted(flavor, letters)
+            if flavor.group == CLASSICAL:
+                built.append(w)
+            return w
+
         monkeypatch.setattr(Word, "__init__", counting)
+        monkeypatch.setattr(Word, "_trusted", counting_trusted)
         results = search_kernel(n=3, k=2, d=1, max_len=6)
         assert len(results) == 50
         assert built == [r.word for r in results]

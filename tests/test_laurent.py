@@ -219,8 +219,3 @@ class TestMatrix:
     def test_str(self):
         m = PolyMatrix([[ONE - T, T], [1, 0]])
         assert str(m) == "[1-t, t]\n[1, 0]"
-
-    def test_pow(self):
-        zeta2 = PolyMatrix([[0, 1], [1, 0]])
-        assert zeta2 ** 2 == PolyMatrix.identity(2)
-        assert zeta2 ** 0 == PolyMatrix.identity(2)

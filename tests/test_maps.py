@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,15 +98,31 @@ class TestProject:
             project_pk(w, 4)
 
     def test_size_cap_checked_before_purity(self, monkeypatch):
-        def permutation(self):
+        def checked(self):
             raise AssertionError("project_pk checked purity before the size "
                                  "check")
 
         monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 4)
-        monkeypatch.setattr(Word, "permutation", permutation)
+        monkeypatch.setattr(Word, "is_pure", checked)
+        monkeypatch.setattr(Word, "permutation", checked)
         w = parse_word("s3^-1 s3 s1^-1 s1", classical(4))
         with pytest.raises(ValueError, match="5 letters, over the cap of 4"):
             project_pk(w, 4)
+
+    def test_purity_check_does_not_scale_with_strands(self):
+        # 2-letter words on 2,000,001 strands: only the strands a letter
+        # moves are tracked, so no 2,000,000-entry list is built
+        n = 2_000_000
+        tracemalloc.start()
+        try:
+            image = project_pk(Word(classical(n + 1), (sigma(1),) * 2), 3)
+            with pytest.raises(PurityError):
+                project_pk(Word(classical(n + 1), (sigma(1), sigma(2))), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert image == Word(cylindrical(n), (sigma(1),) * 2)
+        assert peak < 100_000
 
     def test_supports_matches_case_table(self):
         for n in range(1, 6):

@@ -204,7 +204,7 @@ def walk_words() -> list[Word]:
 
 
 class TestRhoWordWalk:
-    """rho_word's dense t-rows against the sparse column walk and against
+    """rho_word's packed t-rows against the sparse column walk and against
     the generic product of the letter matrices."""
 
     WORDS = walk_words()
@@ -234,6 +234,57 @@ class TestRhoWordWalk:
         for w in self.WORDS:
             image = rho_word(w * w.inverse())
             assert image == PolyMatrix.identity(w.n), str(w)
+
+    def test_matches_reference_walk_from_8_bit_slots(self, monkeypatch):
+        # 8-bit slots overflow their bounds within a few crossings, so the
+        # walk renormalises columns and widens its slots again and again
+        repacks = []
+
+        def spy(col, width, new_width):
+            repacks.append((width, new_width))
+            return repack(col, width, new_width)
+
+        repack = reps._repack
+        monkeypatch.setattr(reps, "_START_WIDTH", 8)
+        monkeypatch.setattr(reps, "_repack", spy)
+        for w in self.WORDS:
+            assert rho_word(w) == reference_rho_word(w), str(w)
+            image = rho_word(w * w.inverse())
+            assert image == PolyMatrix.identity(w.n), str(w)
+        assert any(old == new for old, new in repacks)
+        assert any(old < new for old, new in repacks)
+
+
+class TestPackedRows:
+    """rho_word's packed slots on words of 1,000 letters, whose
+    coefficients outgrow a machine word."""
+
+    @pytest.mark.parametrize("flavor, seed", [(classical(5), 3),
+                                              (cylindrical(6), 4)],
+                             ids=["classical", "cylindrical"])
+    def test_long_word_matches_reference_walk(self, flavor, seed):
+        w = random_word(random.Random(seed), flavor, 1000)
+        image = rho_word(w)
+        assert image == reference_rho_word(w)
+        assert max(abs(c).bit_length() for row in image.rows
+                   for entry in row for _, _, c in entry.terms()) > 64
+
+    def test_long_word_times_inverse_is_identity(self):
+        # on the way back slices cancel to 0 and rows' low ends drift down
+        w = random_word(random.Random(5), vcb(5), 1000)
+        assert rho_word(w * w.inverse()) == PolyMatrix.identity(5)
+
+    @pytest.mark.parametrize("width, native", [(8, True), (16, True),
+                                               (64, True), (64, False)])
+    def test_unpack_inverts_pack(self, monkeypatch, width, native):
+        monkeypatch.setattr(reps, "_LITTLE_ENDIAN",
+                            reps._LITTLE_ENDIAN and native)
+        top = (1 << (width - 1)) - 1  # largest magnitude a slot holds
+        rng = random.Random(width)
+        for coeffs in ([1], [-1], [top], [-top], [0, 0, -1], [top, -top] * 3,
+                       [-top] * 5 + [1], [rng.randint(-top, top)
+                                          for _ in range(50)] + [-1]):
+            assert reps._unpack(reps._pack(coeffs, width), width) == coeffs
 
 
 def evaluate_mod(poly: LaurentPoly, t0: int, s0: int, p: int) -> int:

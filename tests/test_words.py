@@ -162,6 +162,19 @@ class TestPermutation:
         assert w.is_pure()
         assert not parse_word("s1", classical(3)).is_pure()
 
+    def test_purity_with_cyclic_shifts(self):
+        assert parse_word("z^3", cylindrical(3)).is_pure()
+        assert not parse_word("z s1 z^-1", cylindrical(3)).is_pure()
+        # every strand moved by a crossing and one shift: pure at n = 2
+        assert parse_word("z s1", cylindrical(2)).is_pure()
+        assert not parse_word("z s1 s1", cylindrical(2)).is_pure()
+        assert parse_word("z s1 s2 z^-1 s2 s1", vcb(3)).is_pure()
+
+    @given(words_st(max_n=4, max_len=16))
+    def test_is_pure_agrees_with_permutation(self, w):
+        assert w.is_pure() == w.permutation().is_identity()
+        assert (w * w.inverse()).is_pure()
+
     def test_cyclic_shift(self):
         assert parse_word("z", cylindrical(3)).permutation().images == (3, 1, 2)
         assert parse_word("z^-1", cylindrical(3)).permutation().images == (2, 3, 1)
