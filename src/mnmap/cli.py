@@ -137,16 +137,12 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
 
 def _emit_report(report: kernel.VerificationReport, fmt: str) -> tuple[int, str]:
     code = 0 if report.passed else 1
+    fields = report.to_json_obj()
     if fmt == "json":
-        return code, json.dumps(report.to_json_obj())
-    lines = [
-        f"witness: {report.witness}",
-        f"params: {json.dumps(report.params)}",
-        f"image_is_identity: {str(report.image_is_identity).lower()}",
-        f"witness_nontrivial: {str(report.witness_nontrivial).lower()}",
-        f"passed: {str(report.passed).lower()}",
-    ]
-    return code, "\n".join(lines)
+        return code, json.dumps(fields)
+    return code, "\n".join(
+        f"{key}: {value if isinstance(value, str) else json.dumps(value)}"
+        for key, value in fields.items())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -150,7 +150,10 @@ def verify_theorem2(m: int, k: int) -> VerificationReport:
 
 
 class SearchResult(namedtuple("SearchResult", "word verified freely_trivial")):
-    """A freely reduced word whose composite image is the identity matrix.
+    """A freely reduced word whose composite image is the identity matrix,
+    as search_kernel reports it.  freely_trivial is always False: the
+    search enumerates freely reduced words only.
+
     verified records a second evaluation of that image by an independent
     matrix computation: the generic product of the word's letters' image
     matrices, each built once per search as the generic product of the
@@ -160,70 +163,6 @@ class SearchResult(namedtuple("SearchResult", "word verified freely_trivial")):
     error in that table would pass both."""
 
     __slots__ = ()
-
-
-def _pure_reduced_ranks(alphabet: list[Letter],
-                        images: list[tuple[Letter, ...]], n: int,
-                        max_len: int) -> list[list[tuple[int, ...]]]:
-    """Rank tuples of the freely reduced pure words of length 1..max_len on
-    n+1 strands whose image passes the Z/p screen, bucketed by length, each
-    bucket in lexicographic rank order.  images[r] is the stabilized image
-    of alphabet[r], a letter sequence at dimension n.
-
-    An iterative depth-first walk over freely reduced prefixes.  It carries
-    the prefix's strand permutation as a list (perm[j] is Word.permutation
-    at j+1) and its inversion count, which is 0 exactly when the prefix is
-    pure.  Each crossing changes the inversion count by exactly one, so a
-    prefix with c inversions needs at least c more letters to become pure;
-    subtrees that cannot get there within max_len are never entered.  The
-    alphabet alternates sigma_i, sigma_i^-1, so the inverse of rank r is
-    r ^ 1.
-
-    Beside it, states[j] holds the columns of the image of the first j
-    letters evaluated at reps.SCREEN_POINT modulo reps.SCREEN_PRIME, so
-    each node costs one letter image's column operations and undoing a
-    letter is a pop.  A pure prefix is kept only if that state is the
-    identity: a word whose exact image is the identity always is, so the
-    screen never drops a hit.
-    """
-    size = len(alphabet)
-    swap_at = [letter.index - 1 for letter in alphabet]
-    units = reps.screen_units()
-    identity = [[int(i == j) for i in range(n)] for j in range(n)]
-    perm = list(range(1, n + 2))
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    ranks: list[int] = []
-    states = [identity]
-    next_rank = [0]  # next rank to try at each depth of the walk
-    inversions = 0
-    while next_rank:
-        r = next_rank[-1]
-        if r == size:
-            next_rank.pop()
-            if ranks:  # undo the last letter
-                a = swap_at[ranks.pop()]
-                inversions += 1 if perm[a] < perm[a + 1] else -1
-                perm[a], perm[a + 1] = perm[a + 1], perm[a]
-                states.pop()
-            continue
-        next_rank[-1] = r + 1
-        if ranks and r == ranks[-1] ^ 1:
-            continue
-        a = swap_at[r]
-        inversions += 1 if perm[a] < perm[a + 1] else -1
-        perm[a], perm[a + 1] = perm[a + 1], perm[a]
-        ranks.append(r)
-        # a pure extension needs >= inversions more letters, and >= 2 if
-        # none; where none fits, mark the level exhausted so it is undone
-        expand = max_len - len(ranks) >= (inversions or 2)
-        state = None  # a leaf that is not pure needs no state
-        if inversions == 0 or expand:
-            state = reps.rho_columns_mod(states[-1], images[r], units)
-            if inversions == 0 and state == identity:
-                buckets[len(ranks)].append(tuple(ranks))
-        states.append(state)
-        next_rank.append(0 if expand else size)
-    return buckets[1:]
 
 
 def _letter_image(letter: Letter, k: int, n: int, d: int
@@ -255,13 +194,27 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     """Enumerate freely reduced pure words up to max_len over the supported
     classical generators on n+1 strands and return those the composite map
     sends to the identity, ordered by (length, lexicographic letter order).
-
     A candidate's image is rho of the concatenated stabilized letter
-    images, which is mn_map applied letter-wise.  Only candidates that
-    pass the Z/p screen of _pure_reduced_ranks are evaluated exactly, by
-    rho_word, and each hit is re-verified (see SearchResult).  workers is
-    accepted and ignored: the search runs in the calling thread and its
-    result never depended on it.
+    images, which is mn_map applied letter-wise.
+
+    One recursive depth-first walk over freely reduced prefixes, as ranks
+    into the alphabet, which alternates sigma_i, sigma_i^-1 (so the
+    inverse of rank r is r ^ 1).  It carries the prefix's strand
+    permutation (perm[j] is Word.permutation at j+1) and its inversion
+    count, which is 0 exactly when the prefix is pure.  Each crossing
+    changes that count by exactly one, so a prefix with c inversions needs
+    at least c more letters to become pure, and at least 2 if c = 0;
+    subtrees that cannot get there within max_len are never entered.
+
+    It also carries the image of the prefix evaluated at
+    reps.SCREEN_POINT modulo reps.SCREEN_PRIME, as columns, so each node
+    costs one letter image's column operations.  A pure prefix is
+    evaluated exactly, by rho_word, only if that screen state is the
+    identity: a word whose exact image is the identity always is, so the
+    screen never drops a hit.  Each hit is re-verified (see SearchResult)
+    and its classical word is built after the walk.  workers is accepted
+    and ignored: the search runs in the calling thread and its result
+    never depended on it.
     """
     if not 1 <= max_len <= SEARCH_MAX_LEN:
         raise ValueError(f"max_len must be in 1..{SEARCH_MAX_LEN}, "
@@ -281,14 +234,40 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     target, domain = vcb(n), classical(n + 1)
     images = [_letter_image(letter, k, n, d) for letter in alphabet]
     matrices = [_image_matrix(image, n) for image in images]
-    results = []
-    for bucket in _pure_reduced_ranks(alphabet, images, n, max_len):
-        for ranks in bucket:
-            letters = tuple(chain.from_iterable(images[r] for r in ranks))
-            if reps.rho_word(Word._trusted(target, letters)).is_identity():
-                results.append(SearchResult(
-                    word=Word._trusted(domain,
-                                       tuple(alphabet[r] for r in ranks)),
-                    verified=_product_is_identity(matrices[r] for r in ranks),
-                    freely_trivial=False))
-    return results
+    swap_at = [letter.index - 1 for letter in alphabet]
+    units = reps.screen_units()
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    perm = list(range(1, n + 2))
+    ranks: list[int] = []
+    hits: list[tuple[tuple[int, ...], bool]] = []
+
+    def walk(state: list[list[int]], inversions: int, last: int) -> None:
+        room = max_len - len(ranks) - 1  # letters left after the next one
+        for r in range(len(alphabet)):
+            if r == last ^ 1:
+                continue
+            a = swap_at[r]
+            after = inversions + (1 if perm[a] < perm[a + 1] else -1)
+            expand = room >= (after or 2)
+            if after and not expand:
+                continue
+            ranks.append(r)
+            image = reps.rho_columns_mod(state, images[r], units)
+            if after == 0 and image == identity:
+                letters = tuple(chain.from_iterable(images[q] for q in ranks))
+                if reps.rho_word(Word._trusted(target, letters)).is_identity():
+                    hits.append((tuple(ranks), _product_is_identity(
+                        matrices[q] for q in ranks)))
+            if expand:
+                perm[a], perm[a + 1] = perm[a + 1], perm[a]
+                walk(image, after, r)
+                perm[a], perm[a + 1] = perm[a + 1], perm[a]
+            ranks.pop()
+
+    walk(identity, 0, -1)  # -1 ^ 1 is no rank: the empty prefix bans none
+    # a stable sort keeps each length in the walk's lexicographic order
+    hits.sort(key=lambda hit: len(hit[0]))
+    return [SearchResult(
+                word=Word._trusted(domain, tuple(alphabet[r] for r in word)),
+                verified=verified, freely_trivial=False)
+            for word, verified in hits]

@@ -235,7 +235,11 @@ class Word:
         """Product of the letters' strand permutations in word order,
         under (p * q)(x) = p(q(x)), walked in place: a crossing at i swaps
         images i and i+1; zeta (1 -> n, j -> j-1, the cyclic-shift matrix
-        at t = s = 1) rotates the images right, zeta^-1 left."""
+        at t = s = 1) rotates the images right, zeta^-1 left.  It lays out
+        all n images, so n is capped at MAX_WORD_LETTERS first."""
+        if self.n > MAX_WORD_LETTERS:
+            raise WordError(f"permutation of {self.n} strands is over the "
+                            f"cap of {MAX_WORD_LETTERS}")
         images = list(range(1, self.n + 1))
         for letter in self.letters:
             if letter.kind != ZETA:
@@ -288,7 +292,7 @@ def delta_v(n: int) -> Word:
 
 
 # Longest word that parse_word, maps.project_pk and maps.stabilize_fd will
-# build.
+# build, and the most strands Word.permutation will lay out.
 MAX_WORD_LETTERS = 10 ** 6
 
 # Longest number, leading zeros aside, that a token may carry: far above any

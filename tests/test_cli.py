@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -96,6 +97,15 @@ class TestHappyPaths:
         code, out, _ = run(capsys, "verify-thm2", "--m", "1", "--k", "1")
         assert code == 0
         assert "passed: true" in out
+
+    def test_verify_thm2_text_in_full(self, capsys):
+        code, out, _ = run(capsys, "verify-thm2", "--m", "1", "--k", "1")
+        assert code == 0
+        assert out == ("witness: s1^-1 s1^-1\n"
+                       'params: {"m": 1, "k": 1, "d": 1}\n'
+                       "image_is_identity: true\n"
+                       "witness_nontrivial: true\n"
+                       "passed: true\n")
 
     def test_search(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "2", "--k", "1", "--d",
@@ -206,6 +216,20 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cap" in err
+
+    def test_permutation_strands_over_cap(self, capsys):
+        # refused before the n images are laid out
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "perm", "--n",
+                                 str(MAX_WORD_LETTERS + 1), "s1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"cap of {MAX_WORD_LETTERS}" in err
+        assert peak < 1_000_000
 
     def test_projection_over_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 3)

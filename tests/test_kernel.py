@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -262,6 +263,44 @@ class TestSearch:
         results = search_kernel(n=3, k=2, d=1, max_len=6)
         assert len(results) == 50
         assert built == [r.word for r in results]
+
+
+def pruned_walk_size(n, k, max_len):
+    """Freely reduced words of length 1..max_len over the supported letters
+    that the search's walk reaches and screens: pure ones, and those whose
+    inversion count c leaves room for a pure extension (c more letters, or
+    2 if c = 0)."""
+    supported = [i for i in range(1, n + 1)
+                 if i in (k - 1, k) or 1 <= k - i - 1 <= n - 1]
+    alphabet = [l for i in supported for l in (sigma(i), sigma(i, -1))]
+    size = 0
+    for length in range(1, max_len + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            if any(letters[j + 1] == letters[j].inverse()
+                   for j in range(length - 1)):
+                continue
+            images = Word(classical(n + 1), letters).permutation().images
+            inv = sum(a > b for a, b in itertools.combinations(images, 2))
+            if inv == 0 or max_len - length >= (inv or 2):
+                size += 1
+    return size
+
+
+class TestPruning:
+    @pytest.mark.parametrize("n,k,d,max_len,screened", [
+        (3, 2, 1, 6, 712), (4, 3, 2, 5, 216), (2, 2, 1, 7, 712)])
+    def test_one_screen_step_per_reachable_prefix(self, monkeypatch, n, k, d,
+                                                  max_len, screened):
+        calls = []
+        original = reps.rho_columns_mod
+
+        def counting(cols, letters, units):
+            calls.append(letters)
+            return original(cols, letters, units)
+
+        monkeypatch.setattr(reps, "rho_columns_mod", counting)
+        search_kernel(n, k, d, max_len)
+        assert len(calls) == pruned_walk_size(n, k, max_len) == screened
 
 
 def reverified(w, k, d):

@@ -175,6 +175,12 @@ class TestPermutation:
         assert w.is_pure() == w.permutation().is_identity()
         assert (w * w.inverse()).is_pure()
 
+    def test_strand_cap(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 3)
+        assert parse_word("s1", classical(3)).permutation().images == (2, 1, 3)
+        with pytest.raises(WordError, match="4 strands is over the cap of 3"):
+            parse_word("s1", classical(4)).permutation()
+
     def test_cyclic_shift(self):
         assert parse_word("z", cylindrical(3)).permutation().images == (3, 1, 2)
         assert parse_word("z^-1", cylindrical(3)).permutation().images == (2, 3, 1)
