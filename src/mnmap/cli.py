@@ -57,8 +57,12 @@ def _build_parser() -> _Parser:
     add("burau", "unreduced Burau matrix of a classical word", flags=("--n",))
     add("mn", "matrix of a pure word on n+1 strands under the composite map",
         flags=("--n", "--k", "--d"))
-    add("trivial", "decide the word problem (exit 1 if nontrivial)",
-        flags=("--n",))
+    trivial = add("trivial", "decide the word problem (exit 1 if "
+                  "nontrivial)", flags=("--n",))
+    trivial.add_argument("--max-steps", type=int,
+                         default=reps.DEFAULT_STEP_CAP,
+                         help="handle-reduction step cap; exit 3 if a handle "
+                         "is left after that many steps (default %(default)s)")
     add("verify-thm1", "push the lifted Burau-kernel witness through the "
         "composite map", word=False, flags=("--d",))
     add("verify-thm2", "composite image of sigma_k^-2m on 2m+1 strands",
@@ -111,7 +115,7 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         return 0, _emit_matrix(maps.mn_map(w, args.k, args.d), fmt)
     if args.command == "trivial":
         w = words.parse_word(args.word, words.classical(args.n))
-        trivial = reps.is_trivial_braid(w)
+        trivial = reps.is_trivial_braid(w, max_steps=args.max_steps)
         out = json.dumps(trivial) if fmt == "json" else str(trivial).lower()
         return (0 if trivial else 1), out
     if args.command == "verify-thm1":

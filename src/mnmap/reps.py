@@ -267,17 +267,6 @@ class ArtinBudgetError(RuntimeError):
     reduction."""
 
 
-def _free_reduce(items: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Delete adjacent (i, e) (i, -e) pairs in one stack pass."""
-    stack: list[tuple[int, int]] = []
-    for item in items:
-        if stack and stack[-1] == (item[0], -item[1]):
-            stack.pop()
-        else:
-            stack.append(item)
-    return stack
-
-
 def _junction(a: FreeWord, a_inv: FreeWord, b: FreeWord) -> FreeWord:
     """The reduced product a b of reduced words a and b, given a^-1.  Only
     the junction can cancel: m letters go from each side, where m is the
@@ -354,54 +343,97 @@ def artin_apply(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
 # sigma_{i+1}^-e sigma_i^d sigma_{i+1}^e; all other enclosed letters commute
 # with sigma_i and pass through unchanged.  Every reduction sequence
 # terminates, and the final word is empty iff the braid is trivial.
+#
+# handle_reduce always reduces the handle with the smallest closing position
+# (leftmost-innermost), on the word as a list of signed ints (sigma_i^e is
+# e*i), and each step does local work only, by two invariants:
+#
+# - Cancellation only at the junctions.  The word is kept freely reduced, so
+#   the letters before the handle and after it are reduced, and the
+#   replacement is built reduced: u has no sigma_i^{+-1}, so only a run
+#   sigma_{i+1}^d ... sigma_{i+1}^d could cancel inside it, and it becomes one
+#   sigma_{i+1}^-e sigma_i^d ... sigma_i^d sigma_{i+1}^e.  A reduced word
+#   appended to a reduced stack cancels letter pairs at the junction until one
+#   stays, and the rest goes on in one piece: the replacement onto the
+#   prefix, then the suffix onto that.
+# - The resume point.  Whether a handle closes at position q depends only on
+#   the letters up to q.  The old word had no handle closing before the
+#   reduced one, and the new word equals it below the lowest height the
+#   cancellation reached (at most the handle's opening position).  The scan
+#   keeps its state for the prefix it has passed as a stack, one entry per
+#   position, and the step pops the entries of the positions it removes, so
+#   the next scan resumes where the unchanged prefix ends: each step visits
+#   the letters it removes and those up to the next handle, never the prefix.
 
 
 class ReductionCapError(RuntimeError):
     """Step cap exceeded before the reduction terminated (inconclusive)."""
 
 
-def _first_handle(letters: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """Positions (p, q) of the handle with the smallest closing position:
-    the leftmost-innermost handle.  Scans once, tracking each generator's
-    most recent occurrence."""
-    last: dict[int, tuple[int, int]] = {}  # index -> (position, sign)
-    for q, (i, e) in enumerate(letters):
-        seen = last.get(i)
-        if seen is not None and seen[1] == -e:
-            below = last.get(i - 1)
-            if below is None or below[0] < seen[0]:
-                return seen[0], q
-        last[i] = (q, e)
-    return None
-
-
-def _reduce_handle(letters: list[tuple[int, int]], p: int, q: int
-                   ) -> list[tuple[int, int]]:
-    i, e = letters[p]
-    replacement: list[tuple[int, int]] = []
-    for j, d in letters[p + 1:q]:
-        if j == i + 1:
-            replacement += [(i + 1, -e), (i, d), (i + 1, e)]
-        else:
-            replacement.append((j, d))
-    return letters[:p] + replacement + letters[q + 1:]
-
-
 def handle_reduce(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> Word:
     """Reduce handles (leftmost-innermost first) until none remain; the
-    fixed selection strategy makes runs reproducible."""
+    fixed selection strategy makes runs reproducible.  More than max_steps
+    reductions raise ReductionCapError, naming the word length at the cap
+    and the peak length on the way."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"handle reduction needs a classical word, got {w.flavor!r}")
-    letters = _free_reduce([(l.index, l.sign) for l in w])
-    steps = 0
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
+    letters: list[int] = []
+    for letter in w:
+        x = letter.sign * letter.index
+        if letters and letters[-1] == -x:
+            letters.pop()
+        else:
+            letters.append(x)
+    # The scan state of the prefix letters[:len(prev)]: last[i] is the
+    # latest position of sigma_i^{+-1} there, prev[r] the one before r of
+    # the index at r (-1 if none).
+    last: dict[int, int] = {}
+    prev: list[int] = []
+    steps, peak = 0, len(letters)
     while True:
-        found = _first_handle(letters)
-        if found is None:
-            return Word._trusted(w.flavor, tuple(Letter(SIGMA, i, e)
-                                                 for i, e in letters))
+        for q in range(len(prev), len(letters)):
+            x = letters[q]
+            i = x if x > 0 else -x
+            p = last.get(i, -1)
+            if p >= 0 and letters[p] == -x and last.get(i - 1, -1) < p:
+                break  # sigma_i^-e at p closes here: a handle
+            prev.append(p)
+            last[i] = q
+        else:
+            return Word._trusted(w.flavor, tuple(
+                Letter(SIGMA, abs(x), 1 if x > 0 else -1) for x in letters))
         if steps >= max_steps:
-            raise ReductionCapError(f"no terminal word within {max_steps} steps")
-        letters = _free_reduce(_reduce_handle(letters, *found))
+            raise ReductionCapError(
+                f"no terminal word within the step cap of {max_steps}: the "
+                f"word has {len(letters)} letters at the cap, {peak} at its "
+                f"longest")
+        for r in range(q - 1, p - 1, -1):  # drop positions p.. from the scan
+            last[abs(letters[r])] = prev[r]
+        del prev[p:]
+        up = i + 1 if x < 0 else -i - 1  # sigma_{i+1}^e, e the sign at p
+        middle, suffix = letters[p + 1:q], letters[q + 1:]
+        del letters[p:]
+        replacement: list[int] = []
+        for y in middle:
+            if y != up and y != -up:
+                replacement.append(y)
+            elif replacement and replacement[-1] == up:  # inside a run
+                replacement[-1] = i if y > 0 else -i
+                replacement.append(up)
+            else:
+                replacement += (-up, i if y > 0 else -i, up)
+        for piece in replacement, suffix:  # each one freely reduced
+            k = 0
+            while k < len(piece) and letters and letters[-1] == -piece[k]:
+                letters.pop()
+                if len(prev) > len(letters):  # a scanned letter went
+                    y = piece[k]
+                    last[y if y > 0 else -y] = prev.pop()
+                k += 1
+            letters += piece[k:]
+        peak = max(peak, len(letters))
         steps += 1
 
 

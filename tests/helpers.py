@@ -197,6 +197,84 @@ def reference_artin(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
     return FreeAut(w.n, tuple(images))
 
 
+def reference_handle_reduce(w: Word) -> tuple[tuple[Letter, ...], int]:
+    """Handle reduction by whole-word passes: each step scans the word from
+    its start for the handle with the smallest closing position, rebuilds
+    the word around the replacement, and freely reduces all of it in one
+    stack pass.  Returns the terminal letters and the number of steps."""
+    def free_reduce(items: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        stack: list[tuple[int, int]] = []
+        for i, e in items:
+            if stack and stack[-1] == (i, -e):
+                stack.pop()
+            else:
+                stack.append((i, e))
+        return stack
+
+    def first_handle(letters: list[tuple[int, int]]
+                     ) -> tuple[int, int] | None:
+        last: dict[int, tuple[int, int]] = {}  # index -> (position, sign)
+        for q, (i, e) in enumerate(letters):
+            seen = last.get(i)
+            if seen is not None and seen[1] == -e:
+                below = last.get(i - 1)
+                if below is None or below[0] < seen[0]:
+                    return seen[0], q
+            last[i] = (q, e)
+        return None
+
+    letters = free_reduce([(l.index, l.sign) for l in w])
+    steps = 0
+    while (found := first_handle(letters)) is not None:
+        p, q = found
+        i, e = letters[p]
+        replacement: list[tuple[int, int]] = []
+        for j, d in letters[p + 1:q]:
+            if j == i + 1:
+                replacement += [(i + 1, -e), (i, d), (i + 1, e)]
+            else:
+                replacement.append((j, d))
+        letters = free_reduce(letters[:p] + replacement + letters[q + 1:])
+        steps += 1
+    return tuple(sigma(i, e) for i, e in letters), steps
+
+
+def relation_rewritten_trivial(rng: random.Random, n: int, half: int,
+                               moves: int) -> Word:
+    """u u^-1 on n >= 3 strands, |u| = half, rewritten by `moves` braid
+    relations at random positions: swap far-apart neighbours, turn
+    sigma_i sigma_j sigma_i into sigma_j sigma_i sigma_j (|i-j| = 1, same
+    sign), or insert a relator.  Still the identity braid, but free
+    reduction alone does not show it."""
+    def relator() -> list[tuple[int, int]]:
+        i = rng.randint(1, n - 1)
+        far = [j for j in range(1, n) if abs(i - j) >= 2]
+        if far and rng.random() < 0.5:
+            j = rng.choice(far)
+            rel = [(i, 1), (j, 1), (i, -1), (j, -1)]
+        else:
+            j = i + 1 if i < n - 1 else i - 1
+            rel = [(i, 1), (j, 1), (i, 1), (j, -1), (i, -1), (j, -1)]
+        return rel if rng.random() < 0.5 else [(a, -e) for a, e in rel[::-1]]
+
+    u = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(half)]
+    word = u + [(i, -e) for i, e in reversed(u)]
+    for _ in range(moves):
+        if len(word) < 2:
+            word[0:0] = relator()
+            continue
+        p = rng.randrange(len(word) - 1)
+        (i, e), (j, f) = word[p], word[p + 1]
+        if abs(i - j) >= 2:
+            word[p], word[p + 1] = word[p + 1], word[p]
+        elif (abs(i - j) == 1 and e == f and p + 2 < len(word)
+              and word[p + 2] == (i, e)):
+            word[p:p + 3] = [(j, e), (i, e), (j, e)]
+        else:
+            word[p + 1:p + 1] = relator()
+    return Word(classical(n), tuple(sigma(i, e) for i, e in word))
+
+
 def reference_rho_word(w: Word) -> PolyMatrix:
     """rho_word as a walk over sparse LaurentPoly columns: each crossing
     multiplies by t^+-1 or s^+-1 by moving every exponent pair, then forms

@@ -263,6 +263,24 @@ class TestInconclusive:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_step_cap_overrun_exits_3(self, capsys):
+        code, out, err = run(capsys, "trivial", "--n", "3", "--max-steps",
+                             "0", "s1 s2 s1^-1 s2^-1")
+        assert code == 3 and out == ""
+        assert err.startswith("error: inconclusive:")
+        assert err.count("\n") == 1 and "step cap of 0" in err
+
+    def test_step_cap_large_enough(self, capsys):
+        code, out, _ = run(capsys, "trivial", "--n", "3", "--max-steps", "1",
+                           "s1 s2 s1 s2^-1 s1^-1 s2^-1")
+        assert (code, out) == (0, "true\n")
+
+    def test_negative_step_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "trivial", "--n", "3", "--max-steps",
+                             "-1", "s1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerificationFailure:
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 
 from helpers import (
     cancelling_word,
+    random_letter,
     random_word,
     reference_artin,
+    reference_handle_reduce,
     reference_rho_word,
     relation_identities,
+    relation_rewritten_trivial,
     word_pairs_st,
     words_st,
 )
 from mnmap import reps
+from mnmap.kernel import bigelow_alpha, lift_witness
 from mnmap.laurent import (
     MAX_DIMENSION,
     LaurentPoly,
@@ -490,10 +494,80 @@ class TestHandleReduction:
         assert handle_reduce(parse_word("s1 s2", classical(3)),
                              max_steps=0) == parse_word("s1 s2", classical(3))
 
+    def test_high_indices(self):
+        # the scan state holds only the indices that occur, so a word on
+        # 10^12 strands costs what its three letters cost
+        n = 10 ** 12
+        w = parse_word(f"s{n - 2} s{n - 1} s{n - 2}^-1", classical(n))
+        assert handle_reduce(w) == parse_word(
+            f"s{n - 1}^-1 s{n - 2} s{n - 1}", classical(n))
+
     @settings(max_examples=30)
     @given(words_st(groups=("classical",), max_n=4, max_len=8))
     def test_word_times_inverse_is_trivial(self, w):
         assert is_trivial_braid(w * w.inverse())
+
+    def test_cap_error_names_cap_and_lengths(self):
+        # step 1 reduces the handle s1 s2^-1 s1^-1 to s2^-1 s1^-1 s2, and
+        # the word cancels down to s1 s2^-1 s1^-1, itself a handle
+        w = parse_word("s1 s1 s2^-1 s1^-1 s2^-1", classical(3))
+        with pytest.raises(ReductionCapError) as err:
+            handle_reduce(w, max_steps=1)
+        assert str(err.value) == (
+            "no terminal word within the step cap of 1: the word has 3 "
+            "letters at the cap, 5 at its longest")
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="at least 0"):
+            handle_reduce(parse_word("s1", classical(3)), max_steps=-1)
+
+
+def assert_matches_reference(w: Word) -> int:
+    """handle_reduce gives the reference's terminal word, and overruns the
+    step cap exactly when the cap is below the reference's step count."""
+    letters, steps = reference_handle_reduce(w)
+    assert handle_reduce(w, max_steps=steps).letters == letters
+    if steps:
+        with pytest.raises(ReductionCapError):
+            handle_reduce(w, max_steps=steps - 1)
+    return steps
+
+
+class TestHandleReductionReference:
+    def test_seeded_corpus_and_conjugates(self):
+        # w w^-1 is freely trivial, so it checks the initial reduction;
+        # the conjugate w sigma_i w^-1 needs handle steps all along w
+        rng = random.Random(13)
+        total = 0
+        for _ in range(300):
+            flavor = classical(rng.randint(2, 12))
+            w = random_word(rng, flavor, rng.randint(0, 70))
+            total += assert_matches_reference(w)
+            assert assert_matches_reference(w * w.inverse()) == 0
+            middle = Word(flavor, (random_letter(rng, flavor),))
+            total += assert_matches_reference(w * middle * w.inverse())
+        assert total > 1000
+
+    @settings(max_examples=80)
+    @given(words_st(groups=("classical",), max_n=12, max_len=40))
+    def test_classical_words(self, w):
+        assert_matches_reference(w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relation_rewritten_trivial_words(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            w = relation_rewritten_trivial(rng, rng.randint(3, 8),
+                                           rng.randint(5, 20),
+                                           rng.randint(5, 40))
+            assert assert_matches_reference(w) > 0
+            assert len(handle_reduce(w)) == 0
+
+    def test_lifted_witness(self):
+        w = lift_witness(bigelow_alpha())
+        assert len(w) == 118
+        assert assert_matches_reference(w) == 455
+        assert len(handle_reduce(w)) == 154
 
 
 class TestOracleAgreement:
