@@ -17,8 +17,10 @@ map under free reduction a property of the construction.
 """
 from __future__ import annotations
 
+import operator
 import sys
 from collections import namedtuple
+from itertools import accumulate, product, repeat
 from typing import Iterable
 
 from .laurent import (
@@ -32,7 +34,16 @@ from .laurent import (
     PolyMatrix,
     check_dimension,
 )
-from .words import CLASSICAL, SIGMA, TAU, ZETA, Letter, Word, WordError
+from .words import (
+    CLASSICAL,
+    MAX_WORD_LETTERS,
+    SIGMA,
+    TAU,
+    ZETA,
+    Letter,
+    Word,
+    WordError,
+)
 
 DEFAULT_ARTIN_BUDGET = 2 ** 16
 DEFAULT_STEP_CAP = 1_000_000
@@ -258,8 +269,21 @@ def burau(w: Word) -> PolyMatrix:
 # ---------------------------------------------------------------------------
 # Artin action: the faithful action of the braid group on a free group.
 # sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, fixing the rest.
+#
+# During the walk each image is one bytes object with a slot of `width`
+# bytes per letter.  The slot of x_g is the palindrome d_0 d_1 .. d_k .. d_1
+# d_0 of g's 7-bit digits (d_0 lowest, width = 2k + 1), each shifted up one
+# bit; bit 0 of every byte is the sign, set for x_g^-1.  Reversing an
+# image's bytes therefore reverses its letters and keeps each slot whole,
+# and flipping every bit 0 inverts the letters: the inverse of an image is
+# image[::-1].translate(_FLIP) at every width.  One byte holds g <= 127.
 
 FreeWord = tuple[tuple[int, int], ...]  # (generator index 1..n, sign +-1)
+
+_FLIP = bytes(b ^ 1 for b in range(256))
+# A slot byte's 7-bit digit; a list, since a list's __getitem__ is a direct
+# method and mapping it is about twice as fast as a tuple's.
+_DIGIT = [b >> 1 for b in range(256)]
 
 
 class ArtinBudgetError(RuntimeError):
@@ -267,16 +291,39 @@ class ArtinBudgetError(RuntimeError):
     reduction."""
 
 
-def _junction(a: FreeWord, a_inv: FreeWord, b: FreeWord) -> FreeWord:
-    """The reduced product a b of reduced words a and b, given a^-1.  Only
-    the junction can cancel: m letters go from each side, where m is the
-    length of the common prefix of a^-1 and b."""
-    m = 0
-    for x, y in zip(a_inv, b):
-        if x != y:
-            break
-        m += 1
-    return a[:len(a) - m] + b[m:]
+def _generators(n: int, width: int) -> bytes:
+    """The slots of x_1 .. x_n in order, laid out digit by digit."""
+    slots = bytearray(n * width)
+    for t in range(width // 2 + 1):
+        slots[t::width] = slots[width - 1 - t::width] = bytes(
+            (g >> 7 * t & 127) << 1 for g in range(1, n + 1))
+    return bytes(slots)
+
+
+def _decode(image: bytes, width: int, n: int) -> FreeWord:
+    """The (generator, sign) letters of an image on n strands, with no
+    Python-level loop over them.  A slot's outer byte plus its inner digits
+    shifted into place is the code 2g + 1 for x_g^-1 and 2g for x_g, an
+    index into one table of the letters, so each letter is a shared pair."""
+    codes = image[::width]
+    for t in range(1, width // 2 + 1):
+        codes = map(operator.add, codes, map(operator.lshift, map(
+            _DIGIT.__getitem__, image[t::width]), repeat(7 * t + 1)))
+    letters = list(product(range(n + 1), (1, -1)))
+    return tuple(map(letters.__getitem__, codes))
+
+
+def _cancelled(u_inv: bytes, v: bytes, width: int) -> int:
+    """The bytes that cancel from each side of the product u v of reduced
+    images, given u^-1: the common prefix of u^-1 and v in whole slots,
+    where the two differ in the highest set bit of their XOR."""
+    if u_inv[:width] != v[:width]:
+        return 0
+    size = min(len(u_inv), len(v))
+    diff = int.from_bytes(u_inv[:size], "big") ^ \
+        int.from_bytes(v[:size], "big")
+    same = size - (diff.bit_length() + 7 >> 3)
+    return same - same % width
 
 
 class FreeAut(namedtuple("FreeAut", "n images")):
@@ -303,35 +350,55 @@ def artin_apply(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
     """Compose the letter automorphisms of a classical word.  Faithfulness:
     the result is the identity automorphism iff the braid is trivial.
 
-    Each image is kept freely reduced with its inverse beside it, so a
-    letter's products cancel only at their junctions.  Image lengths can
-    grow exponentially with word length; exceeding the per-image budget
-    raises ArtinBudgetError, naming the length and the letter reached.
+    Each image is one bytes object, a fixed-width slot per letter, kept
+    freely reduced with its inverse beside it.  A letter conjugates one
+    image by another, a b a^-1, in two products of reduced words; each
+    cancels only at its junction, as many slots as the left factor's
+    inverse shares with the right factor as a prefix, found from the XOR of
+    the two prefixes read as ints.  The new image's inverse is its bytes
+    reversed with every sign flipped.  Image lengths can grow exponentially
+    with word length; exceeding the per-image budget raises
+    ArtinBudgetError, naming the length and the letter reached.  The n
+    images are laid out first, so n is capped at MAX_WORD_LETTERS.
     """
     if w.flavor.group != CLASSICAL:
         raise WordError(f"the Artin action needs a classical word, got {w.flavor!r}")
     n = w.n
-    images: list[FreeWord] = [((i, 1),) for i in range(1, n + 1)]
-    inverses: list[FreeWord] = [((i, -1),) for i in range(1, n + 1)]
-    for position, letter in enumerate(w, start=1):
-        i, j = letter.index - 1, letter.index  # 0-based
-        xi, xj = images[i], images[j]
-        xi_inv, xj_inv = inverses[i], inverses[j]
-        if letter.sign == 1:  # x_i -> x_i x_j x_i^-1, x_j -> x_i
-            images[i] = _junction(xi, xi_inv, _junction(xj, xj_inv, xi_inv))
-            inverses[i] = _junction(xi, xi_inv,
-                                    _junction(xj_inv, xj, xi_inv))
-            images[j], inverses[j] = xi, xi_inv
-        else:  # x_i -> x_j, x_j -> x_j^-1 x_i x_j
-            images[i], inverses[i] = xj, xj_inv
-            images[j] = _junction(xj_inv, xj, _junction(xi, xi_inv, xj))
-            inverses[j] = _junction(xj_inv, xj, _junction(xi_inv, xi, xj))
-        reached = max(len(images[i]), len(images[j]))
-        if reached > budget:
+    if n > MAX_WORD_LETTERS:
+        raise WordError(f"Artin action on {n} strands is over the cap of "
+                        f"{MAX_WORD_LETTERS}")
+    width = (n.bit_length() - 1) // 7 * 2 + 1  # 1, 3, 5 for 7, 14, 21 bits
+    plus = _generators(n, width)
+    minus = plus.translate(_FLIP)
+    images = [plus[k:k + width] for k in range(0, len(plus), width)]
+    inverses = [minus[k:k + width] for k in range(0, len(minus), width)]
+    limit = budget * width
+    for position, (_, index, sign) in enumerate(w.letters, start=1):
+        i, j = index - 1, index  # 0-based
+        if sign == 1:  # x_i -> a b a^-1 with a = x_i, b = x_j; x_j -> x_i
+            a, a_inv, b, b_inv = images[i], inverses[i], images[j], inverses[j]
+        else:  # x_j -> a b a^-1 with a = x_j^-1, b = x_i; x_i -> x_j
+            a, a_inv, b, b_inv = inverses[j], images[j], images[i], inverses[i]
+        m = _cancelled(b_inv, a_inv, width)
+        c = b[:len(b) - m] + a_inv[m:]
+        m = _cancelled(a_inv, c, width)
+        new = a[:len(a) - m] + c[m:]
+        if len(new) > limit:  # a, moved whole, is one letter or was checked
             raise ArtinBudgetError(
-                f"image length {reached} exceeded budget of {budget} "
-                f"letters at letter {position} of {len(w)}")
-    return FreeAut(n, tuple(images))
+                f"image length {len(new) // width} exceeded budget of "
+                f"{budget} letters at letter {position} of {len(w)}")
+        new_inv = new[::-1].translate(_FLIP)
+        if sign == 1:
+            images[i], inverses[i], images[j], inverses[j] = \
+                new, new_inv, a, a_inv
+        else:
+            images[i], inverses[i], images[j], inverses[j] = \
+                a_inv, a, new, new_inv
+    # decode all images in one pass, then cut at their letter offsets
+    letters = _decode(b"".join(images), width, n)
+    cuts = [0, *accumulate(len(image) // width for image in images)]
+    return FreeAut(n, tuple(letters[lo:hi]
+                            for lo, hi in zip(cuts, cuts[1:])))
 
 
 # ---------------------------------------------------------------------------

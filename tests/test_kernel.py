@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_pure_word, reference_search
+from helpers import random_pure_word, reference_artin, reference_search
 from mnmap import kernel, maps, reps
 from mnmap.kernel import (
     SearchResult,
@@ -53,9 +53,19 @@ class TestWitness:
 
     def test_artin_cross_check_needs_budget_fallback(self):
         # the witness's free-group images outgrow the default budget, which
-        # is why handle reduction is the certifying oracle here
-        with pytest.raises(ArtinBudgetError):
-            artin_apply(bigelow_alpha())
+        # is why handle reduction is the certifying oracle here; the overrun
+        # stops at whole-word free reduction's letter and length
+        for w, message in [
+            (bigelow_alpha(), "image length 67449 exceeded budget of 65536 "
+                              "letters at letter 53 of 118"),
+            (lift_witness(bigelow_alpha()), "image length 93193 exceeded "
+             "budget of 65536 letters at letter 61 of 118"),
+        ]:
+            with pytest.raises(ArtinBudgetError) as expected:
+                reference_artin(w)
+            with pytest.raises(ArtinBudgetError) as raised:
+                artin_apply(w)
+            assert str(raised.value) == str(expected.value) == message
 
 
 class TestLift:

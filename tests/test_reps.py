@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -41,6 +42,7 @@ from mnmap.reps import (
     rho_word,
 )
 from mnmap.words import (
+    MAX_WORD_LETTERS,
     Word,
     WordError,
     classical,
@@ -374,6 +376,19 @@ class TestBurau:
         assert checked > 0
 
 
+def assert_artin_matches_reference(w, kwargs):
+    """artin_apply gives reference_artin's images, or its exact overrun."""
+    try:
+        expected = reference_artin(w, **kwargs)
+    except ArtinBudgetError as err:
+        with pytest.raises(ArtinBudgetError) as raised:
+            artin_apply(w, **kwargs)
+        assert str(raised.value) == str(err), w
+    else:
+        assert artin_apply(w, **kwargs).image_strings() == \
+            expected.image_strings(), w
+
+
 class TestArtin:
     def test_defining_images(self):
         aut = artin_apply(parse_word("s1", classical(2)))
@@ -433,15 +448,55 @@ class TestArtin:
                     v = (u.inverse() if rng.random() < 0.7
                          else random_word(rng, flavor, 2))
                     w = w * u * pair * v
-            try:
-                expected = reference_artin(w, **kwargs)
-            except ArtinBudgetError as err:
-                with pytest.raises(ArtinBudgetError) as raised:
-                    artin_apply(w, **kwargs)
-                assert str(raised.value) == str(err), w
-            else:
-                assert artin_apply(w, **kwargs).image_strings() == \
-                    expected.image_strings(), w
+            assert_artin_matches_reference(w, kwargs)
+
+    # The slot width grows from 1 to 3 bytes at 128 strands and from 3 to 5
+    # at 16384.  Letters at the top indices and around 127/128 draw on
+    # generators with every digit of a wide slot in use; every other word
+    # is trivial, u s_i^e s_i^-e u^-1 blocks, so whole images cancel.
+    @pytest.mark.parametrize("budget", [None, 1, 2, 5, 50])
+    @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
+    def test_wide_slots_match_whole_word_reduction(self, n, budget):
+        rng = random.Random(n)
+        kwargs = {} if budget is None else {"budget": budget}
+        indices = sorted({1, 125, 126, 127, 128, 129, n - 4, n - 3, n - 2,
+                          n - 1} & set(range(1, n)))
+        for trial in range(6):
+            letters = []
+            while len(letters) < 16:
+                u = [sigma(rng.choice(indices), rng.choice((1, -1)))
+                     for _ in range(rng.randint(0, 4))]
+                i, e = rng.choice(indices), rng.choice((1, -1))
+                letters += u + [sigma(i, e)]
+                if trial % 2:
+                    letters += [sigma(i, -e)] + [
+                        letter.inverse() for letter in reversed(u)]
+            assert_artin_matches_reference(Word(classical(n), letters),
+                                           kwargs)
+
+    # The slots of x_g and x_{g+128} share their outer byte, and at 5 bytes
+    # those of x_g and x_{g+16384} their outer two.  Conjugating by
+    # s_1 .. s_m sets such generators side by side in one image, where a
+    # common prefix can end inside a slot: those bytes must not cancel.
+    @pytest.mark.parametrize("n, m", [(131, 129), (16390, 129),
+                                      (16390, 16385)])
+    def test_prefix_inside_a_slot_does_not_cancel(self, n, m):
+        c = [sigma(i) for i in range(1, m + 1)]
+        c_inv = [letter.inverse() for letter in reversed(c)]
+        for middle in ([sigma(m)], [sigma(m + 1)], [sigma(2, -1), sigma(m)]):
+            assert_artin_matches_reference(
+                Word(classical(n), c + middle + c_inv), {})
+
+    def test_strand_count_capped_before_layout(self):
+        w = Word(classical(MAX_WORD_LETTERS + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordError, match=f"cap of {MAX_WORD_LETTERS}"):
+                artin_apply(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     # max_len 10: an image at most triples per letter, so 3^10 stays inside
     # the default budget and w w^-1 never overruns.
