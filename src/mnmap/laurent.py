@@ -8,6 +8,7 @@ stored, so equality of term maps is equality of polynomials.
 """
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, "LaurentPoly"]
@@ -180,6 +181,58 @@ S = LaurentPoly.monomial(1, 0, 1)
 T_INV = LaurentPoly.monomial(1, -1, 0)
 S_INV = LaurentPoly.monomial(1, 0, -1)
 
+# Packed rows (Kronecker substitution, one slot width W in bits, a multiple
+# of 8): for each power of s, (t_lo, v), where v is that s-slice's t-row
+# c_0 + c_1 t + ... (c_i the coefficient of t^(t_lo+i)) evaluated at
+# t = 2^W, one int whose W-bit slots are the signed c_i.  It decodes back
+# while every |c_i| < 2^(W-1) (_unpack).  A slice whose v is 0 is dropped;
+# ints and dicts are shared and never changed in place once built.
+# rho_word walks and PolyMatrix.det expands on this form.
+Rows = dict[int, tuple[int, int]]
+
+# Whether 64-bit slots can be read as native unsigned words.
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _unpack(v: int, width: int) -> list[int]:
+    """The signed width-bit slots of v, lowest first, up to the highest
+    nonzero one, exact while each is below 2^(width-1) in magnitude: adding
+    2^(width-1) to every slot makes them nonnegative bytes to cut apart."""
+    half = 1 << (width - 1)
+    if -half < v < half:
+        return [v]
+    size, slots = width >> 3, v.bit_length() // width + 1
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    raw = (v + bias).to_bytes(slots * size, "little")
+    if width == 64 and _LITTLE_ENDIAN:  # one C-level read of the slots
+        return [u - half for u in memoryview(raw).cast("Q")]
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, slots * size, size)]
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """The int whose signed width-bit slots are coeffs, lowest first."""
+    size, half = width >> 3, 1 << (width - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * len(coeffs), "little")
+    return int.from_bytes(b"".join((c + half).to_bytes(size, "little")
+                                   for c in coeffs), "little") - bias
+
+
+def _to_rows(p: LaurentPoly, width: int) -> Rows:
+    """p's packed rows, each from its lowest power of t to its highest."""
+    slices: dict[int, dict[int, int]] = {}
+    for (a, b), c in p._terms.items():
+        slices.setdefault(b, {})[a] = c
+    return {s: (min(row), _pack([row.get(a, 0) for a in range(
+        min(row), max(row) + 1)], width)) for s, row in slices.items()}
+
+
+def _from_rows(entry: Rows, width: int) -> LaurentPoly:
+    """The polynomial of packed rows."""
+    return LaurentPoly.from_nonzero({
+        (lo + i, s): c for s, (lo, v) in entry.items()
+        for i, c in enumerate(_unpack(v, width)) if c})
+
 # Matrices are dense, n^2 entries: the dimension is checked against this
 # bound before anything of that size is built.
 MAX_DIMENSION = 256
@@ -193,8 +246,14 @@ def check_dimension(n: int) -> None:
 
 
 # The determinant computes every minor of the bottom rows once: n * 2^(n-1)
-# polynomial products, still exponential, so inputs stay small.
+# products of packed rows, still exponential, so inputs stay small.
 DET_DIMENSION_CAP = 8
+
+# The determinant's packed minors span at most (sum of the rows' t-spans + 1)
+# slots of W bits per power of s; that size is checked against this cap
+# before anything is packed.  The 8x8 Burau determinant of a 4,000-letter
+# word on 8 strands needs about 21 Mbit.
+DET_SLICE_BITS_CAP = 1 << 25
 
 
 class PolyMatrix:
@@ -260,11 +319,34 @@ class PolyMatrix:
 
     def det(self) -> LaurentPoly:
         """Exact determinant by Laplace expansion with each minor computed
-        once (dimension capped)."""
+        once (dimension capped), on packed rows (Rows) of one slot width W.
+
+        B, the product of the rows' l1 norms, bounds every coefficient of
+        every minor and of every partial sum of the expansion (triangle
+        inequality), so W = bit length of B + 2, rounded up to whole bytes,
+        never overflows a slot and a packed int is 0 exactly when its
+        polynomial is.  A product of an entry and a minor multiplies their
+        s-slices as ints; only the full minor is decoded.  The packed size
+        is checked against DET_SLICE_BITS_CAP before anything is packed.
+        """
         if self.n > DET_DIMENSION_CAP:
             raise ValueError(
                 f"determinant capped at dimension {DET_DIMENSION_CAP}")
-        return _det(self.rows)
+        bound, span = 1, 0
+        for row in self.rows:
+            bound *= sum(abs(c) for entry in row
+                         for c in entry._terms.values())
+            if not bound:  # a zero row
+                return ZERO
+            exps = [a for entry in row for a, _ in entry._terms]
+            span += max(exps) - min(exps)
+        width = -(-(bound.bit_length() + 2) // 8) * 8
+        bits = (span + 1) * width
+        if bits > DET_SLICE_BITS_CAP:
+            raise ValueError(
+                f"determinant needs packed minors of {bits} bits per power "
+                f"of s, over the cap of {DET_SLICE_BITS_CAP}")
+        return _from_rows(_det(self.rows, width), width)
 
     def specialize(self, t0: int, s0: int) -> tuple[tuple[int, ...], ...]:
         """Entry-wise exact evaluation at unit points."""
@@ -304,22 +386,40 @@ def _dot(row: tuple[LaurentPoly, ...],
     return acc
 
 
-def _det(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
+def _det(rows: tuple[tuple[LaurentPoly, ...], ...], width: int) -> Rows:
     """Expand row by row from the bottom.  minors[mask] is the determinant of
     the rows processed so far restricted to the columns in mask; prepending
-    a row expands along it, with sign (-1)^(columns of mask left of j)."""
-    minors = {0: ONE}
+    a row expands along it, with sign (-1)^(columns of mask left of j).
+    Sums align the t-offsets of a slice by shifting the higher one up."""
+    minors: dict[int, Rows] = {0: {0: (0, 1)}}
     for row in reversed(rows):
-        extended: dict[int, LaurentPoly] = {}
+        packed = [_to_rows(entry, width) for entry in row]
+        extended: dict[int, Rows] = {}
         for mask, minor in minors.items():
             negative = False
-            for j, entry in enumerate(row):
+            for j, entry in enumerate(packed):
                 bit = 1 << j
                 if mask & bit:
                     negative = not negative
-                elif entry:
-                    term = entry * minor
-                    extended[mask | bit] = extended.get(mask | bit, ZERO) + (
-                        -term if negative else term)
+                    continue
+                if not entry:
+                    continue
+                acc = extended.setdefault(mask | bit, {})
+                for s1, (lo1, v1) in entry.items():
+                    if negative:
+                        v1 = -v1
+                    for s2, (lo2, v2) in minor.items():
+                        s, lo, v = s1 + s2, lo1 + lo2, v1 * v2
+                        old = acc.get(s)
+                        if old is not None:
+                            lo_x, vx = old
+                            if lo_x <= lo:
+                                v, lo = vx + (v << width * (lo - lo_x)), lo_x
+                            else:
+                                v = (vx << width * (lo_x - lo)) + v
+                            if not v:
+                                del acc[s]
+                                continue
+                        acc[s] = (lo, v)
         minors = {mask: minor for mask, minor in extended.items() if minor}
-    return minors.get((1 << len(rows)) - 1, ZERO)
+    return minors.get((1 << len(rows)) - 1, {})

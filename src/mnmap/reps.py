@@ -18,7 +18,6 @@ map under free reduction a property of the construction.
 from __future__ import annotations
 
 import operator
-import sys
 from collections import namedtuple
 from itertools import accumulate, product, repeat
 from typing import Iterable
@@ -30,8 +29,11 @@ from .laurent import (
     T,
     T_INV,
     ZERO,
-    LaurentPoly,
     PolyMatrix,
+    Rows,
+    _from_rows,
+    _pack,
+    _unpack,
     check_dimension,
 )
 from .words import (
@@ -73,41 +75,8 @@ def rho_letter(letter: Letter, n: int) -> PolyMatrix:
     return PolyMatrix.from_polys(tuple(map(tuple, rows)))
 
 
-# rho_word's first slot width W in bits (a multiple of 8), and whether
-# 64-bit slots can be read as native unsigned words.
+# rho_word's first slot width W in bits (a multiple of 8).
 _START_WIDTH = 64
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-# An entry of rho_word's walk: for each power of s, (t_lo, v), where v is
-# that s-slice's t-row c_0 + c_1 t + ... (c_i the coefficient of t^(t_lo+i))
-# evaluated at t = 2^W, one int whose W-bit slots are the signed c_i.  It
-# decodes back while every |c_i| < 2^(W-1) (_unpack).  A slice whose v is 0
-# is dropped; ints and dicts are shared and never changed in place.
-Rows = dict[int, tuple[int, int]]
-
-
-def _unpack(v: int, width: int) -> list[int]:
-    """The signed width-bit slots of v, lowest first, up to the highest
-    nonzero one, exact while each is below 2^(width-1) in magnitude: adding
-    2^(width-1) to every slot makes them nonnegative bytes to cut apart."""
-    half = 1 << (width - 1)
-    if -half < v < half:
-        return [v]
-    size, slots = width >> 3, v.bit_length() // width + 1
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-    raw = (v + bias).to_bytes(slots * size, "little")
-    if width == 64 and _LITTLE_ENDIAN:  # one C-level read of the slots
-        return [u - half for u in memoryview(raw).cast("Q")]
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, slots * size, size)]
-
-
-def _pack(coeffs: list[int], width: int) -> int:
-    """The int whose signed width-bit slots are coeffs, lowest first."""
-    size, half = width >> 3, 1 << (width - 1)
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * len(coeffs), "little")
-    return int.from_bytes(b"".join((c + half).to_bytes(size, "little")
-                                   for c in coeffs), "little") - bias
 
 
 def _repack(col: list[Rows], width: int, new_width: int
@@ -205,10 +174,8 @@ def rho_word(w: Word) -> PolyMatrix:
         cols[y] = [_cross(p, q, e, width) for p, q in zip(col_x, col_y)]
         bounds[x], bounds[y] = bounds[y], bound
     # entries no crossing touched come back as the shared ONE and ZERO
-    polys = [[ONE if entry is one else LaurentPoly.from_nonzero({
-        (lo + i, s): c for s, (lo, v) in entry.items()
-        for i, c in enumerate(_unpack(v, width)) if c}) if entry else ZERO
-        for entry in col] for col in cols]
+    polys = [[ONE if entry is one else _from_rows(entry, width) if entry
+              else ZERO for entry in col] for col in cols]
     return PolyMatrix.from_polys(tuple(zip(*polys)))
 
 

@@ -1,10 +1,10 @@
-"""Shared strategies and word generators for the test suite."""
+"""Word generators and reference implementations for the test suite.
+
+Importable without Hypothesis: its strategies live in strategies.py."""
 from __future__ import annotations
 
 import random
 from itertools import product
-
-import hypothesis.strategies as st
 
 from mnmap.laurent import ONE, ZERO, LaurentPoly, PolyMatrix
 from mnmap.maps import mn_map
@@ -25,7 +25,6 @@ from mnmap.words import (
     Word,
     ZETA,
     classical,
-    parse_word,
     sigma,
     tau,
     zeta,
@@ -36,37 +35,6 @@ GROUP_KINDS = {
     CYLINDRICAL: (SIGMA, ZETA),
     VCB: (SIGMA, TAU, ZETA),
 }
-
-
-def letters_st(flavor: Flavor):
-    kinds = GROUP_KINDS[flavor.group]
-
-    def build(kind, index, sign):
-        return Letter(kind, 0 if kind == ZETA else index, sign)
-
-    return st.builds(build,
-                     st.sampled_from(kinds),
-                     st.integers(1, max(flavor.n - 1, 1)),
-                     st.sampled_from((1, -1)))
-
-
-@st.composite
-def words_st(draw, groups=(CLASSICAL, CYLINDRICAL, VCB), min_n=2, max_n=6,
-             max_len=12):
-    group = draw(st.sampled_from(groups))
-    n = draw(st.integers(min_n, max_n))
-    flavor = Flavor(group, n)
-    letters = draw(st.lists(letters_st(flavor), max_size=max_len))
-    return Word(flavor, tuple(letters))
-
-
-@st.composite
-def word_pairs_st(draw, groups=(CLASSICAL, CYLINDRICAL, VCB), min_n=2,
-                  max_n=6, max_len=12):
-    a = draw(words_st(groups=groups, min_n=min_n, max_n=max_n,
-                      max_len=max_len))
-    letters = draw(st.lists(letters_st(a.flavor), max_size=max_len))
-    return a, Word(a.flavor, tuple(letters))
 
 
 def random_letter(rng: random.Random, flavor: Flavor) -> Letter:
@@ -303,3 +271,26 @@ def reference_rho_word(w: Word) -> PolyMatrix:
             cols[a] = [shift(p, -1, 0) for p in col_b]
             cols[b] = [p + q - r for p, q, r in zip(col_a, col_b, cols[a])]
     return PolyMatrix(list(zip(*cols)))
+
+
+def reference_det(matrix: PolyMatrix) -> LaurentPoly:
+    """The determinant by the same minor recurrence as PolyMatrix.det, with
+    LaurentPoly arithmetic instead of packed rows: expand row by row from
+    the bottom; minors[mask] is the determinant of the rows processed so far
+    restricted to the columns in mask, and prepending a row expands along
+    it, with sign (-1)^(columns of mask left of j)."""
+    minors = {0: ONE}
+    for row in reversed(matrix.rows):
+        extended: dict[int, LaurentPoly] = {}
+        for mask, minor in minors.items():
+            negative = False
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if mask & bit:
+                    negative = not negative
+                elif entry:
+                    term = entry * minor
+                    extended[mask | bit] = extended.get(mask | bit, ZERO) + (
+                        -term if negative else term)
+        minors = {mask: minor for mask, minor in extended.items() if minor}
+    return minors.get((1 << matrix.n) - 1, ZERO)

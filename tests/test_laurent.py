@@ -1,11 +1,16 @@
 import json
+import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import random_word, reference_det
+from mnmap import laurent
 from mnmap.laurent import (
     DET_DIMENSION_CAP,
+    DET_SLICE_BITS_CAP,
     MAX_DIMENSION,
     LaurentPoly,
     ONE,
@@ -16,6 +21,8 @@ from mnmap.laurent import (
     T_INV,
     ZERO,
 )
+from mnmap.reps import rho_word
+from mnmap.words import vcb
 
 
 def polys_st(max_exp=3, max_coeff=9, max_terms=4):
@@ -183,8 +190,8 @@ class TestMatrix:
 
     @given(st.integers(1, 5), st.data())
     def test_det_matches_leibniz(self, n, data):
-        rows = [[data.draw(polys_st(max_exp=2, max_coeff=4, max_terms=2))
-                 for _ in range(n)] for _ in range(n)]
+        entry = polys_st(max_exp=5, max_coeff=2 ** 70, max_terms=2)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         matrix = PolyMatrix(rows)
         assert matrix.det() == leibniz_det(matrix)
         i = data.draw(st.integers(0, n - 1))
@@ -194,6 +201,29 @@ class TestMatrix:
             j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
             equal_rows = rows[:j] + [rows[i]] + rows[j + 1:]
             assert PolyMatrix(equal_rows).det() == ZERO
+
+    def test_det_packed_size_capped_before_packing(self):
+        # a dense t-row from 1 to t^(10^12) would be terabytes of slots
+        matrix = PolyMatrix([[ONE + LaurentPoly.monomial(1, 10 ** 12), ONE],
+                             [ONE, ONE]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=f"cap of {DET_SLICE_BITS_CAP}"):
+                matrix.det()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_det_packed_size_is_span_times_width(self, monkeypatch):
+        # B = 2 gives 8-bit slots; t-span 7 gives 8 slots: 64 bits
+        matrix = PolyMatrix([[ONE + LaurentPoly.monomial(1, 7)]])
+        monkeypatch.setattr(laurent, "DET_SLICE_BITS_CAP", 64)
+        assert matrix.det() == matrix[0, 0]
+        monkeypatch.setattr(laurent, "DET_SLICE_BITS_CAP", 63)
+        with pytest.raises(ValueError, match="64 bits"):
+            matrix.det()
 
     def test_specialize(self):
         m = PolyMatrix([[ONE - T, T], [1, 0]])
@@ -219,3 +249,102 @@ class TestMatrix:
     def test_str(self):
         m = PolyMatrix([[ONE - T, T], [1, 0]])
         assert str(m) == "[1-t, t]\n[1, 0]"
+
+
+def random_poly(rng: random.Random, bits: int, terms: int = 3,
+                max_exp: int = 3) -> LaurentPoly:
+    """Up to `terms` terms with both exponents in -max_exp..max_exp and
+    coefficients of `bits` bits, either sign."""
+    return LaurentPoly({
+        (rng.randint(-max_exp, max_exp), rng.randint(-max_exp, max_exp)):
+            rng.choice((1, -1)) * rng.randint(1 << (bits - 1), (1 << bits) - 1)
+        for _ in range(rng.randint(0, terms))})
+
+
+def random_matrix(rng: random.Random, n: int, bits: int) -> list[list]:
+    return [[random_poly(rng, bits) if rng.random() < 0.8 else ZERO
+             for _ in range(n)] for _ in range(n)]
+
+
+def two_term_matrix(rng: random.Random, n: int, bits: int) -> list[list]:
+    """Entries +-2^bits t^a s^c (1 +- t), each two slots of one s-slice."""
+    def entry() -> LaurentPoly:
+        a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        return LaurentPoly({(a, c): rng.choice((1, -1)) << bits,
+                            (a + 1, c): rng.choice((1, -1)) << bits})
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+class TestDetReference:
+    """PolyMatrix.det on packed rows against the same recurrence on
+    LaurentPoly arithmetic (helpers.reference_det)."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The slot widths of the determinants decoded with more than one
+        slot in some power of s."""
+        seen = set()
+
+        def spy(entry, width):
+            if any(v.bit_length() >= width for _, v in entry.values()):
+                seen.add(width)
+            return from_rows(entry, width)
+
+        from_rows = laurent._from_rows
+        monkeypatch.setattr(laurent, "_from_rows", spy)
+        return seen
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference(self, n, widths):
+        rng = random.Random(1000 + n)
+        # entries +-2^b t^a s^c (1 +- t): the rows' l1 norms n 2^(b+1) give
+        # B = n^n 2^(n(b+1)), with b the largest that keeps W at 64 bits
+        b = max(b for b in range(62)
+                if (n ** n << n * (b + 1)).bit_length() + 2 <= 64)
+        for bits in (b, 130):
+            matrix = PolyMatrix(two_term_matrix(rng, n, bits))
+            assert matrix.det() == reference_det(matrix)
+        assert 64 in widths and any(w > 64 for w in widths)
+        # 61-65 and 130-bit coefficients: wider slots, cut byte by byte
+        for bits in (61, 62, 63, 64, 65, 130):
+            for _ in range(3):
+                matrix = PolyMatrix(random_matrix(rng, n, bits))
+                assert matrix.det() == reference_det(matrix)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_singular_matrices(self, n):
+        rng = random.Random(2000 + n)
+        for bits in (8, 64, 130):
+            rows = random_matrix(rng, n, bits)
+            i = rng.randrange(n)
+            zero_row = PolyMatrix(rows[:i] + [[ZERO] * n] + rows[i + 1:])
+            assert zero_row.det() == ZERO == reference_det(zero_row)
+            if n < 3:
+                continue
+            a, b, c = rng.sample(range(n), 3)
+            p, q = random_poly(rng, 8), random_poly(rng, 8)
+            rows[c] = [p * x + q * y for x, y in zip(rows[a], rows[b])]
+            combined = PolyMatrix(rows)
+            assert combined.det() == ZERO == reference_det(combined)
+
+    def test_slot_width_boundaries(self):
+        # coefficient bit lengths at and around multiples of 8, where W's
+        # spare bits decide whether a slot holds its coefficient
+        for k in (61, 62, 63, 64, 65, 127, 128):
+            top = (1 << k) - 1
+            for rows in ([[top * T - top + top * T * T]],
+                         [[top * T, -top], [top * S, top * T_INV]],
+                         [[top, top * T], [-top * T, top * S]]):
+                matrix = PolyMatrix(rows)
+                assert matrix.det() == reference_det(matrix) == \
+                    leibniz_det(matrix)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_rho_word_images(self, n):
+        # words with tau and zeta: both variables, negative exponents
+        rng = random.Random(3000 + n)
+        for _ in range(3):
+            w = random_word(rng, vcb(n), 40)
+            matrix = rho_word(w)
+            assert matrix.det() == reference_det(matrix), str(w)

@@ -14,10 +14,9 @@ from helpers import (
     reference_rho_word,
     relation_identities,
     relation_rewritten_trivial,
-    word_pairs_st,
-    words_st,
 )
-from mnmap import reps
+from strategies import word_pairs_st, words_st
+from mnmap import laurent, reps
 from mnmap.kernel import bigelow_alpha, lift_witness
 from mnmap.laurent import (
     MAX_DIMENSION,
@@ -283,14 +282,15 @@ class TestPackedRows:
     @pytest.mark.parametrize("width, native", [(8, True), (16, True),
                                                (64, True), (64, False)])
     def test_unpack_inverts_pack(self, monkeypatch, width, native):
-        monkeypatch.setattr(reps, "_LITTLE_ENDIAN",
-                            reps._LITTLE_ENDIAN and native)
+        monkeypatch.setattr(laurent, "_LITTLE_ENDIAN",
+                            laurent._LITTLE_ENDIAN and native)
         top = (1 << (width - 1)) - 1  # largest magnitude a slot holds
         rng = random.Random(width)
         for coeffs in ([1], [-1], [top], [-top], [0, 0, -1], [top, -top] * 3,
                        [-top] * 5 + [1], [rng.randint(-top, top)
                                           for _ in range(50)] + [-1]):
-            assert reps._unpack(reps._pack(coeffs, width), width) == coeffs
+            assert laurent._unpack(laurent._pack(coeffs, width),
+                                   width) == coeffs
 
 
 def evaluate_mod(poly: LaurentPoly, t0: int, s0: int, p: int) -> int:
@@ -357,6 +357,12 @@ class TestBurau:
             e = sum(l.sign for l in w)
             expected = LaurentPoly.monomial(-1 if e % 2 else 1, e, 0)
             assert burau(w).det() == expected
+
+    def test_determinant_law_of_a_long_word(self):
+        # 8x8 entries of a 400-letter word: hundreds of terms per entry
+        w = random_word(random.Random(12), classical(8), 400)
+        e = sum(l.sign for l in w)
+        assert burau(w).det() == LaurentPoly.monomial((-1) ** e, e, 0)
 
     def test_generator_determinants_up_to_det_cap(self):
         minus_t = LaurentPoly.monomial(-1, 1, 0)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from helpers import word_pairs_st, words_st
+from strategies import word_pairs_st, words_st
 from mnmap import words
 from mnmap.words import (
     MAX_WORD_LETTERS,
