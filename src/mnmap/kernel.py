@@ -21,10 +21,8 @@ separately by handle reduction (never assumed).
 from __future__ import annotations
 
 import functools
-import operator
 from collections import namedtuple
 from itertools import chain
-from typing import Iterable
 
 from . import maps, reps
 from .laurent import PolyMatrix, check_dimension
@@ -182,11 +180,11 @@ def _image_matrix(image: tuple[Letter, ...], n: int) -> PolyMatrix:
     return product
 
 
-def _product_is_identity(matrices: Iterable[PolyMatrix]) -> bool:
-    """Whether the generic product of a non-empty sequence of letter image
-    matrices (from _image_matrix) is the identity: a hit's second
-    evaluation (see SearchResult)."""
-    return functools.reduce(operator.mul, matrices).is_identity()
+def _product_is_identity(product: PolyMatrix) -> bool:
+    """Whether a hit's generic product of letter image matrices (from
+    _image_matrix) is the identity: its second evaluation (see
+    SearchResult)."""
+    return product.is_identity()
 
 
 def search_kernel(n: int, k: int, d: int, max_len: int,
@@ -212,9 +210,18 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     evaluated exactly, by rho_word, only if that screen state is the
     identity: a word whose exact image is the identity always is, so the
     screen never drops a hit.  Each hit is re-verified (see SearchResult)
-    and its classical word is built after the walk.  workers is accepted
-    and ignored: the search runs in the calling thread and its result
-    never depended on it.
+    and its classical word is built after the walk.
+
+    The re-verification's products sit on a stack aligned with the prefix:
+    exact[i] is the generic product of the letter matrices of its first
+    i + 1 letters.  A hit extends the stack to its own length, and the
+    walk cuts it back as it returns.  Hits come in depth-first, that is
+    lexicographic, order, so consecutive hits share exactly their common
+    prefix and each distinct hit prefix of two or more letters is
+    multiplied once (a one-letter prefix is its letter's matrix).
+
+    workers is accepted and ignored: the search runs in the calling
+    thread and its result never depended on it.
     """
     if not 1 <= max_len <= SEARCH_MAX_LEN:
         raise ValueError(f"max_len must be in 1..{SEARCH_MAX_LEN}, "
@@ -239,6 +246,7 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     identity = [[int(i == j) for i in range(n)] for j in range(n)]
     perm = list(range(1, n + 2))
     ranks: list[int] = []
+    exact: list[PolyMatrix] = []  # exact[i]: the product for ranks[:i+1]
     hits: list[tuple[tuple[int, ...], bool]] = []
 
     def walk(state: list[list[int]], inversions: int, last: int) -> None:
@@ -256,13 +264,17 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
             if after == 0 and image == identity:
                 letters = tuple(chain.from_iterable(images[q] for q in ranks))
                 if reps.rho_word(Word._trusted(target, letters)).is_identity():
-                    hits.append((tuple(ranks), _product_is_identity(
-                        matrices[q] for q in ranks)))
+                    for q in ranks[len(exact):]:
+                        exact.append(exact[-1] * matrices[q] if exact
+                                     else matrices[q])
+                    hits.append((tuple(ranks),
+                                 _product_is_identity(exact[-1])))
             if expand:
                 perm[a], perm[a + 1] = perm[a + 1], perm[a]
                 walk(image, after, r)
                 perm[a], perm[a + 1] = perm[a + 1], perm[a]
             ranks.pop()
+            del exact[len(ranks):]
 
     walk(identity, 0, -1)  # -1 ^ 1 is no rank: the empty prefix bans none
     # a stable sort keeps each length in the walk's lexicographic order

@@ -227,11 +227,12 @@ def _to_rows(p: LaurentPoly, width: int) -> Rows:
         min(row), max(row) + 1)], width)) for s, row in slices.items()}
 
 
-def _from_rows(entry: Rows, width: int) -> LaurentPoly:
-    """The polynomial of packed rows."""
+def _from_rows(entry: Rows, width: int, t_exp: int = 0, s_exp: int = 0
+               ) -> LaurentPoly:
+    """The polynomial of packed rows, times t^t_exp s^s_exp."""
     return LaurentPoly.from_nonzero({
-        (lo + i, s): c for s, (lo, v) in entry.items()
-        for i, c in enumerate(_unpack(v, width)) if c})
+        (a, s + s_exp): c for s, (lo, v) in entry.items()
+        for a, c in enumerate(_unpack(v, width), lo + t_exp) if c})
 
 # Matrices are dense, n^2 entries: the dimension is checked against this
 # bound before anything of that size is built.

@@ -96,15 +96,18 @@ def _repack(col: list[Rows], width: int, new_width: int
     return out, bound
 
 
-def _cross(x: Rows, y: Rows, e: int, width: int) -> Rows:
-    """x + (1 - t^e) y for e = +-1, one s-slice at a time: (1 - t) y is
-    vy - (vy << width) at y's t_lo, (1 - t^-1) y is the negation one lower."""
+def _cross(x: Rows, y: Rows, e: int, dt: int, ds: int, width: int) -> Rows:
+    """x + (1 - t^e) t^dt s^ds y for e = +-1, one s-slice at a time:
+    t^dt s^ds moves y's t_lo by dt and its s key by ds, (1 - t) y is
+    vy - (vy << width) at that t_lo, and (1 - t^-1) y is the negation one
+    lower."""
     out = dict(x)
     for s, (lo, vy) in y.items():
+        s += ds
         if e == 1:
-            vz = vy - (vy << width)
+            vz, lo = vy - (vy << width), lo + dt
         else:
-            vz, lo = (vy << width) - vy, lo - 1
+            vz, lo = (vy << width) - vy, lo + dt - 1
         lo_x, vx = out.get(s, (lo, 0))
         if lo_x <= lo:
             v, lo = vx + (vz << width * (lo - lo_x)), lo_x
@@ -123,14 +126,24 @@ def rho_word(w: Word) -> PolyMatrix:
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
     which is exact and agrees entry-for-entry with the generic matrix
-    product.  Each entry is kept as packed t-rows keyed by the power of s
-    (Rows), all with one slot width W: t^+-1 moves a row's offset, s^+-1
-    re-keys the rows, and a crossing's a + b - b' is x + (1 - t^+-1) y, a
-    shift and two additions per row.  Each column carries a bound on its
-    coefficients, M_x + 2 M_y after a crossing.  Before a bound would reach
-    2^(W-1), the crossing's columns are decoded to their true maxima; if
-    those still reach it, every entry is repacked at about twice the bits
-    needed.  Each entry becomes a LaurentPoly once, at the end.
+    product.  Each column is a list of entries times one monomial factor
+    t^a s^b, with a and b kept per column.  Each entry is kept as packed
+    t-rows keyed by the power of s (Rows), all with one slot width W.
+
+    Only the sum of a crossing does work per entry.  A crossing's copy
+    x' = t^+-1 y is y's entry list with 1 added to or taken from a; tau
+    swaps two lists and moves their b by -+1; zeta rotates the lists with
+    their factors.  The sum y' = x + (1 - t^+-1) y takes x's factor, and
+    each of its entries is x's plus y's moved by the factors' difference,
+    a shift and two additions per row (_cross), or x's entry itself where
+    y's is 0.
+
+    Each column carries a bound on its coefficients, M_x + 2 M_y after a
+    crossing; a monomial factor changes no coefficient, so the bounds
+    ignore it.  Before a bound would reach 2^(W-1), the crossing's columns
+    are decoded to their true maxima; if those still reach it, every entry
+    is repacked at about twice the bits needed.  Each entry becomes a
+    LaurentPoly once, at the end, when its column's factor is applied.
     """
     n = w.n
     check_dimension(n)
@@ -140,20 +153,23 @@ def rho_word(w: Word) -> PolyMatrix:
     zero: Rows = {}
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
     bounds = [1] * n
+    t_exps, s_exps = [0] * n, [0] * n  # column j's factor t^a s^b
     for letter in w:
         e = letter.sign
         if letter.kind == ZETA:  # rotate right for zeta, left for zeta^-1
             cols, bounds = cols[-e:] + cols[:-e], bounds[-e:] + bounds[:-e]
+            t_exps = t_exps[-e:] + t_exps[:-e]
+            s_exps = s_exps[-e:] + s_exps[:-e]
             continue
         k = letter.index
         if not 1 <= k <= n - 1:
             raise WordError(f"letter {letter} has no image at dimension {n}")
         a, b = k - 1, k
         if letter.kind == TAU:  # a' = s^-1 b, b' = s a
-            col_a = cols[a]
-            cols[a] = [{s - 1: row for s, row in p.items()} for p in cols[b]]
-            cols[b] = [{s + 1: row for s, row in p.items()} for p in col_a]
+            cols[a], cols[b] = cols[b], cols[a]
             bounds[a], bounds[b] = bounds[b], bounds[a]
+            t_exps[a], t_exps[b] = t_exps[b], t_exps[a]
+            s_exps[a], s_exps[b] = s_exps[b] - 1, s_exps[a] + 1
             continue
         # sigma: b' = t a, a' = b + (1-t) a; sigma^-1: a' = t^-1 b,
         # b' = a + (1-t^-1) b.  So x' = t^e y and y' = x + (1-t^e) y.
@@ -168,14 +184,17 @@ def rho_word(w: Word) -> PolyMatrix:
                 for j in range(n):
                     cols[j], bounds[j] = _repack(cols[j], width, wider)
                 width, limit = wider, 1 << (wider - 1)
-        col_x, col_y = cols[x], cols[y]
-        cols[x] = [{s: (lo + e, v) for s, (lo, v) in p.items()}
-                   for p in col_y]
-        cols[y] = [_cross(p, q, e, width) for p, q in zip(col_x, col_y)]
+        dt, ds = t_exps[y] - t_exps[x], s_exps[y] - s_exps[x]
+        cols[x], cols[y] = cols[y], [_cross(p, q, e, dt, ds, width) if q
+                                     else p for p, q in zip(cols[x], cols[y])]
         bounds[x], bounds[y] = bounds[y], bound
-    # entries no crossing touched come back as the shared ONE and ZERO
-    polys = [[ONE if entry is one else _from_rows(entry, width) if entry
-              else ZERO for entry in col] for col in cols]
+        t_exps[x], t_exps[y] = t_exps[y] + e, t_exps[x]
+        s_exps[x], s_exps[y] = s_exps[y], s_exps[x]
+    # only entries no crossing touched, in a column with factor 1, come back
+    # as the shared ONE; empty entries are the shared ZERO
+    polys = [[ONE if entry is one and not (ta or sb) else
+              _from_rows(entry, width, ta, sb) if entry else ZERO
+              for entry in col] for col, ta, sb in zip(cols, t_exps, s_exps)]
     return PolyMatrix.from_polys(tuple(zip(*polys)))
 
 

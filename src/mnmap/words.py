@@ -210,6 +210,12 @@ class Word:
         return Word._trusted(self.flavor, self.letters + other.letters)
 
     def __pow__(self, e: int) -> Word:
+        """Repetition, of the inverse for e < 0; a result over
+        MAX_WORD_LETTERS letters is refused before it is built."""
+        size = len(self.letters) * abs(e)
+        if size > MAX_WORD_LETTERS:
+            raise WordError(f"power expands to {size} letters, over the cap "
+                            f"of {MAX_WORD_LETTERS} (MAX_WORD_LETTERS)")
         if e < 0:
             return self.inverse() ** (-e)
         return Word._trusted(self.flavor, self.letters * e)

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from mnmap.kernel import (
     verify_theorem1,
     verify_theorem2,
 )
-from mnmap.laurent import MAX_DIMENSION
+from mnmap.laurent import MAX_DIMENSION, PolyMatrix
 from mnmap.maps import mn_map, project_pk
 from mnmap.reps import (
     ArtinBudgetError,
@@ -314,12 +316,13 @@ class TestPruning:
 
 
 def reverified(w, k, d):
-    """_product_is_identity on the image matrices of w's letters, built the
-    way search_kernel builds them for its alphabet."""
+    """_product_is_identity on the generic product of the image matrices of
+    w's letters, built the way search_kernel builds them for its
+    alphabet."""
     n = w.n - 1
-    return kernel._product_is_identity(
+    return kernel._product_is_identity(functools.reduce(operator.mul, (
         kernel._image_matrix(kernel._letter_image(letter, k, n, d), n)
-        for letter in w)
+        for letter in w)))
 
 
 class TestReverification:
@@ -360,6 +363,31 @@ class TestReverification:
         results = search_kernel(n, k, d, max_len)
         assert len(calls) == expected
         assert all(r.verified for r in results)
+
+    @pytest.mark.parametrize("n,k,d,max_len", [(3, 2, 1, 6), (4, 3, 2, 5),
+                                               (2, 2, 1, 7)])
+    def test_each_hit_prefix_multiplied_once(self, monkeypatch, n, k, d,
+                                             max_len):
+        # setup: identity times each letter of each alphabet image; then
+        # one product per distinct hit prefix of two or more letters, since
+        # a one-letter prefix's product is that letter's matrix
+        alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
+                    for l in (sigma(i), sigma(i, -1))]
+        setup = sum(len(kernel._letter_image(l, k, n, d)) for l in alphabet)
+        calls = []
+        multiply = PolyMatrix.__mul__
+
+        def counting(left, right):
+            calls.append(None)
+            return multiply(left, right)
+
+        monkeypatch.setattr(PolyMatrix, "__mul__", counting)
+        results = search_kernel(n, k, d, max_len)
+        prefixes = {r.word.letters[:i] for r in results
+                    for i in range(2, len(r.word) + 1)}
+        assert all(r.verified for r in results)
+        assert len(prefixes) < sum(len(r.word) - 1 for r in results)
+        assert len(calls) == setup + len(prefixes)
 
     def test_a_corrupted_letter_matrix_fails_the_hits_that_use_it(
             self, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -42,6 +43,10 @@ from mnmap.reps import (
 )
 from mnmap.words import (
     MAX_WORD_LETTERS,
+    SIGMA,
+    TAU,
+    ZETA,
+    Letter,
     Word,
     WordError,
     classical,
@@ -258,6 +263,84 @@ class TestRhoWordWalk:
             assert image == PolyMatrix.identity(w.n), str(w)
         assert any(old == new for old, new in repacks)
         assert any(old < new for old, new in repacks)
+
+
+def letter_product(w: Word) -> PolyMatrix:
+    """The generic product of w's rho_letter images."""
+    product = PolyMatrix.identity(w.n)
+    for letter in w:
+        product = product * rho_letter(letter, w.n)
+    return product
+
+
+def factor_heavy_word(rng: random.Random, n: int, length: int) -> Word:
+    """A vcb word on n >= 3 strands, mostly tau and zeta: a random prefix,
+    then blocks t1 z^-1 and s1 z^-1 between random sigma_i, tau_i with
+    i >= 2.  Each block moves the column at position 0 to position 1 and
+    back, multiplying it by s or t on the way (s1 leaves the crossing's sum
+    behind), and the letters between touch positions 1.. only, so the
+    factors of the columns grow with the number of blocks."""
+    letters = list(random_word(rng, vcb(n), length // 5).letters)
+    while len(letters) < length:
+        r = rng.random()
+        if r < 0.4:
+            letters += [tau(1, rng.choice((1, -1))), zeta(-1)]
+        elif r < 0.65:
+            letters += [sigma(1), zeta(-1)]
+        else:
+            letters.append(Letter(rng.choice((SIGMA, TAU)),
+                                  rng.randint(2, n - 1), rng.choice((1, -1))))
+    return Word(vcb(n), tuple(letters))
+
+
+class TestColumnFactor:
+    """rho_word keeps each column as entries times a monomial t^a s^b, which
+    only crossings' copies, tau and zeta move, and applies it at decode."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("text", ["t1", "t1 t1", "t1 z", "s1 t1 s1^-1"])
+    def test_monomial_columns_match_letter_product(self, text, n):
+        w = parse_word(text, vcb(n))
+        image = rho_word(w)
+        assert image == letter_product(w) == reference_rho_word(w)
+        assert ONE == LaurentPoly.one()  # the shared entry is never changed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_factor_heavy_word_matches_reference(self, monkeypatch, seed):
+        factors = []
+        decode = reps._from_rows
+
+        def spy(entry, width, t_exp=0, s_exp=0):
+            factors.append((t_exp, s_exp))
+            return decode(entry, width, t_exp, s_exp)
+
+        monkeypatch.setattr(reps, "_from_rows", spy)
+        rng = random.Random(seed)
+        w = factor_heavy_word(rng, rng.randint(4, 5), 320)
+        assert len(w) >= 300
+        assert sum(l.kind in (TAU, ZETA) for l in w) > len(w) // 2
+        assert rho_word(w) == reference_rho_word(w) == letter_product(w)
+        assert max(abs(a) for a, _ in factors) >= 20
+        assert max(abs(b) for _, b in factors) >= 20
+
+    def test_repacked_columns_carry_factors(self, monkeypatch):
+        # the 8-bit walk of TestRhoWordWalk repacks columns whose factor is
+        # not 1; the spy reads the column's factor from rho_word's frame
+        factors = []
+
+        def spy(col, width, new_width):
+            walk = sys._getframe(1).f_locals
+            j = walk["j"]
+            assert walk["cols"][j] is col
+            factors.append((walk["t_exps"][j], walk["s_exps"][j]))
+            return repack(col, width, new_width)
+
+        repack = reps._repack
+        monkeypatch.setattr(reps, "_START_WIDTH", 8)
+        monkeypatch.setattr(reps, "_repack", spy)
+        for w in TestRhoWordWalk.WORDS:
+            assert rho_word(w) == reference_rho_word(w), str(w)
+        assert any(a for a, _ in factors) and any(b for _, b in factors)
 
 
 class TestPackedRows:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -150,6 +152,26 @@ class TestWordOps:
         assert a ** 3 == parse_word("s1 s1 s1", classical(3))
         assert a ** -2 == parse_word("s1^-2", classical(3))
         assert a ** 0 == Word(classical(3))
+
+    @pytest.mark.parametrize("e", [10 ** 12, -10 ** 12])
+    def test_power_capped_before_the_letters_are_built(self, e):
+        w = Word(classical(3), (sigma(1),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordError, match=f"cap of {MAX_WORD_LETTERS} "
+                                                r"\(MAX_WORD_LETTERS\)"):
+                w ** e
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_power_at_the_cap(self):
+        w = Word(classical(3), (sigma(1), sigma(2)))
+        assert len(w ** (MAX_WORD_LETTERS // 2)) == MAX_WORD_LETTERS
+        e = MAX_WORD_LETTERS // 2 + 1
+        with pytest.raises(WordError, match=f"power expands to {2 * e} "):
+            w ** -e
 
 
 class TestPermutation:
