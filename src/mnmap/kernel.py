@@ -45,6 +45,8 @@ SEARCH_MAX_LEN = 12
 SEARCH_MAX_ALPHABET = 12
 # The search carries n x n matrices; checked before anything is built.
 SEARCH_MAX_N = 32
+# Residues mod p in the search's stored half: its words times n^2.
+SEARCH_MAX_HALF_RESIDUES = 2 ** 20
 
 
 class WitnessError(RuntimeError):
@@ -187,6 +189,46 @@ def _product_is_identity(product: PolyMatrix) -> bool:
     return product.is_identity()
 
 
+def _inverse_image(image: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The letters whose image matrix is the inverse of image's: reversed,
+    every sign flipped.  Exact, since each generator image times its
+    inverse image is the identity."""
+    return tuple(letter.inverse() for letter in reversed(image))
+
+
+def _halves(steps: list[tuple[Letter, ...]], swap_at: list[int], depth: int,
+            n: int, units: tuple[int, int, int, int]):
+    """Every freely reduced rank sequence of length 1..depth over the ranks
+    of steps (the inverse of rank r is r ^ 1), depth first with ranks
+    rising, as (ranks, key).  key is (length, state, images): state is the
+    n x n identity right-multiplied by steps[r] for each r of ranks in
+    turn, evaluated by reps.rho_columns_mod, as a tuple of column tuples;
+    images are the strand images 1..n+1 after a swap at swap_at[r] for
+    each r in turn.  Each sequence costs one rho_columns_mod call."""
+    ranks: list[int] = []
+    perm = list(range(1, n + 2))
+
+    def walk(state: list[list[int]], last: int):
+        for r in range(len(steps)):
+            if r == last ^ 1:
+                continue
+            a = swap_at[r]
+            ranks.append(r)
+            perm[a], perm[a + 1] = perm[a + 1], perm[a]
+            image = reps.rho_columns_mod(state, steps[r], units)
+            yield tuple(ranks), (len(ranks), tuple(map(tuple, image)),
+                                 tuple(perm))
+            if len(ranks) < depth:
+                yield from walk(image, r)
+            perm[a], perm[a + 1] = perm[a + 1], perm[a]
+            ranks.pop()
+
+    if not depth:
+        return iter(())
+    # -1 ^ 1 is no rank: the empty sequence bans none
+    return walk([[int(i == j) for i in range(n)] for j in range(n)], -1)
+
+
 def search_kernel(n: int, k: int, d: int, max_len: int,
                   workers: int = 0) -> list[SearchResult]:
     """Enumerate freely reduced pure words up to max_len over the supported
@@ -195,30 +237,43 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     A candidate's image is rho of the concatenated stabilized letter
     images, which is mn_map applied letter-wise.
 
-    One recursive depth-first walk over freely reduced prefixes, as ranks
-    into the alphabet, which alternates sigma_i, sigma_i^-1 (so the
-    inverse of rank r is r ^ 1).  It carries the prefix's strand
-    permutation (perm[j] is Word.permutation at j+1) and its inversion
-    count, which is 0 exactly when the prefix is pure.  Each crossing
-    changes that count by exactly one, so a prefix with c inversions needs
-    at least c more letters to become pure, and at least 2 if c = 0;
-    subtrees that cannot get there within max_len are never entered.
+    Words are rank sequences into the alphabet, which alternates sigma_i,
+    sigma_i^-1 (so the inverse of rank r is r ^ 1).  Every letter is a
+    transposition of strands, so a pure word has even length: each hit
+    splits as w = uv with |u| = |v| = h for some h <= max_len // 2.  The
+    search meets in the middle over these halves (Schroeppel-Shamir).
 
-    It also carries the image of the prefix evaluated at
-    reps.SCREEN_POINT modulo reps.SCREEN_PRIME, as columns, so each node
-    costs one letter image's column operations.  A pure prefix is
-    evaluated exactly, by rho_word, only if that screen state is the
-    identity: a word whose exact image is the identity always is, so the
-    screen never drops a hit.  Each hit is re-verified (see SearchResult)
-    and its classical word is built after the walk.
+    Screen states are images evaluated at reps.SCREEN_POINT modulo
+    reps.SCREEN_PRIME, as columns.  The prefixes u form one tree, built
+    from the identity by one letter image's column operations per node
+    (reps.rho_columns_mod), and are stored in one dict keyed by (h, M(u)
+    mod p, the strand images of Word.permutation).  The suffixes v are
+    streamed from a second tree, built by prepending letters: v's state is
+    M(v)^-1 mod p, the state of v without its first letter r
+    right-multiplied by r's inverse image (its image reversed, every sign
+    flipped, which is exact).  Its key images are v's swaps applied in
+    reverse order, which are u's images exactly when uv is pure.  Each u
+    under v's key whose last rank is not the inverse of v's first is a
+    candidate: M(v) is invertible mod p, its determinant being a
+    monomial, so the candidates are exactly the freely reduced pure words
+    whose screen state is the identity.  A word whose exact image is the
+    identity always has that state, so the screen never drops a hit.
 
-    The re-verification's products sit on a stack aligned with the prefix:
-    exact[i] is the generic product of the letter matrices of its first
-    i + 1 letters.  A hit extends the stack to its own length, and the
-    walk cuts it back as it returns.  Hits come in depth-first, that is
-    lexicographic, order, so consecutive hits share exactly their common
-    prefix and each distinct hit prefix of two or more letters is
-    multiplied once (a one-letter prefix is its letter's matrix).
+    The candidates are sorted by rank sequence, which puts a prefix before
+    its extensions: the depth-first, lexicographic order.  Each is
+    evaluated exactly, by rho_word, and the exact result alone decides a
+    hit.  Each hit is re-verified (see SearchResult), with the products on
+    a stack: exact[i] is the generic product of the letter matrices of the
+    first i + 1 letters of the last hit, cut back to the common prefix of
+    consecutive hits, so each distinct hit prefix of two or more letters
+    is multiplied once (a one-letter prefix is its letter's matrix).  A
+    stable sort by length then gives the result order, and classical
+    words are built for the hits only.
+
+    The stored half holds the freely reduced words of length 1..max_len
+    // 2, A (A-1)^(h-1) of length h over an alphabet of A symbols, each
+    with n^2 residues.  More than SEARCH_MAX_HALF_RESIDUES residues in
+    all is refused before anything is built.
 
     workers is accepted and ignored: the search runs in the calling
     thread and its result never depended on it.
@@ -234,50 +289,51 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
         raise ValueError(f"d must be a positive integer, got {d}")
     alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
                 for l in (sigma(i), sigma(i, -1))]
-    if len(alphabet) > SEARCH_MAX_ALPHABET:
+    size, half = len(alphabet), max_len // 2
+    if size > SEARCH_MAX_ALPHABET:
         raise ValueError(
-            f"alphabet of {len(alphabet)} symbols exceeds the cap of "
+            f"alphabet of {size} symbols exceeds the cap of "
             f"{SEARCH_MAX_ALPHABET}")
+    halves = sum(size * (size - 1) ** (h - 1) for h in range(1, half + 1))
+    if halves * n * n > SEARCH_MAX_HALF_RESIDUES:
+        raise ValueError(
+            f"{halves} halves of length up to {half} with {n}x{n} states "
+            f"hold {halves * n * n} residues, over the cap of "
+            f"{SEARCH_MAX_HALF_RESIDUES} (SEARCH_MAX_HALF_RESIDUES)")
     target, domain = vcb(n), classical(n + 1)
     images = [_letter_image(letter, k, n, d) for letter in alphabet]
     matrices = [_image_matrix(image, n) for image in images]
     swap_at = [letter.index - 1 for letter in alphabet]
     units = reps.screen_units()
-    identity = [[int(i == j) for i in range(n)] for j in range(n)]
-    perm = list(range(1, n + 2))
-    ranks: list[int] = []
-    exact: list[PolyMatrix] = []  # exact[i]: the product for ranks[:i+1]
+
+    table: dict[tuple, list[tuple[int, ...]]] = {}
+    for u, key in _halves(images, swap_at, half, n, units):
+        table.setdefault(key, []).append(u)
+    candidates = []
+    for back, key in _halves([_inverse_image(image) for image in images],
+                             swap_at, half, n, units):
+        first = back[-1]  # back lists v's ranks in the order prepended
+        for u in table.get(key, ()):
+            if u[-1] != first ^ 1:
+                candidates.append(u + back[::-1])
+    candidates.sort()
+
+    exact: list[PolyMatrix] = []  # exact[i]: the product for last[:i+1]
+    last: tuple[int, ...] = ()
     hits: list[tuple[tuple[int, ...], bool]] = []
-
-    def walk(state: list[list[int]], inversions: int, last: int) -> None:
-        room = max_len - len(ranks) - 1  # letters left after the next one
-        for r in range(len(alphabet)):
-            if r == last ^ 1:
-                continue
-            a = swap_at[r]
-            after = inversions + (1 if perm[a] < perm[a + 1] else -1)
-            expand = room >= (after or 2)
-            if after and not expand:
-                continue
-            ranks.append(r)
-            image = reps.rho_columns_mod(state, images[r], units)
-            if after == 0 and image == identity:
-                letters = tuple(chain.from_iterable(images[q] for q in ranks))
-                if reps.rho_word(Word._trusted(target, letters)).is_identity():
-                    for q in ranks[len(exact):]:
-                        exact.append(exact[-1] * matrices[q] if exact
-                                     else matrices[q])
-                    hits.append((tuple(ranks),
-                                 _product_is_identity(exact[-1])))
-            if expand:
-                perm[a], perm[a + 1] = perm[a + 1], perm[a]
-                walk(image, after, r)
-                perm[a], perm[a + 1] = perm[a + 1], perm[a]
-            ranks.pop()
-            del exact[len(ranks):]
-
-    walk(identity, 0, -1)  # -1 ^ 1 is no rank: the empty prefix bans none
-    # a stable sort keeps each length in the walk's lexicographic order
+    for word in candidates:
+        letters = tuple(chain.from_iterable(images[q] for q in word))
+        if not reps.rho_word(Word._trusted(target, letters)).is_identity():
+            continue
+        common = 0
+        while common < len(exact) and word[common] == last[common]:
+            common += 1
+        del exact[common:]
+        for q in word[common:]:
+            exact.append(exact[-1] * matrices[q] if exact else matrices[q])
+        hits.append((word, _product_is_identity(exact[-1])))
+        last = word
+    # a stable sort keeps each length in lexicographic order
     hits.sort(key=lambda hit: len(hit[0]))
     return [SearchResult(
                 word=Word._trusted(domain, tuple(alphabet[r] for r in word)),

@@ -197,15 +197,18 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 def _unpack(v: int, width: int) -> list[int]:
     """The signed width-bit slots of v, lowest first, up to the highest
     nonzero one, exact while each is below 2^(width-1) in magnitude: adding
-    2^(width-1) to every slot makes them nonnegative bytes to cut apart."""
+    2^(width-1) to every slot makes them nonnegative bytes to cut apart.
+    At W = 64 on a little-endian machine, flipping each slot's top bit
+    back leaves every slot in two's complement, read in one C-level pass."""
     half = 1 << (width - 1)
     if -half < v < half:
         return [v]
     size, slots = width >> 3, v.bit_length() // width + 1
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    if width == 64 and _LITTLE_ENDIAN:
+        return memoryview(((v + bias) ^ bias).to_bytes(
+            slots * size, "little")).cast("q").tolist()
     raw = (v + bias).to_bytes(slots * size, "little")
-    if width == 64 and _LITTLE_ENDIAN:  # one C-level read of the slots
-        return [u - half for u in memoryview(raw).cast("Q")]
     return [int.from_bytes(raw[i:i + size], "little") - half
             for i in range(0, slots * size, size)]
 

@@ -162,6 +162,7 @@ class Word:
     __slots__ = ("flavor", "letters")
 
     def __init__(self, flavor: Flavor, letters: tuple[Letter, ...] = ()):
+        _check_size("word", len(letters))
         for letter in letters:
             flavor.check(letter)
         object.__setattr__(self, "flavor", flavor)
@@ -203,19 +204,18 @@ class Word:
         return iter(self.letters)
 
     def __mul__(self, other: Word) -> Word:
-        """Concatenation; no reduction is performed."""
+        """Concatenation; no reduction is performed.  A result over
+        MAX_WORD_LETTERS letters is refused before it is built."""
         if self.flavor != other.flavor:
             raise WordError(
                 f"flavor mismatch: {self.flavor!r} vs {other.flavor!r}")
+        _check_size("product", len(self.letters) + len(other.letters))
         return Word._trusted(self.flavor, self.letters + other.letters)
 
     def __pow__(self, e: int) -> Word:
         """Repetition, of the inverse for e < 0; a result over
         MAX_WORD_LETTERS letters is refused before it is built."""
-        size = len(self.letters) * abs(e)
-        if size > MAX_WORD_LETTERS:
-            raise WordError(f"power expands to {size} letters, over the cap "
-                            f"of {MAX_WORD_LETTERS} (MAX_WORD_LETTERS)")
+        _check_size("power", len(self.letters) * abs(e))
         if e < 0:
             return self.inverse() ** (-e)
         return Word._trusted(self.flavor, self.letters * e)
@@ -279,7 +279,9 @@ class Word:
 
 
 def commutator(a: Word, b: Word) -> Word:
-    """[a, b] = a b a^-1 b^-1 (no reduction)."""
+    """[a, b] = a b a^-1 b^-1 (no reduction).  A result over
+    MAX_WORD_LETTERS letters is refused before any part of it is built."""
+    _check_size("commutator", 2 * (len(a) + len(b)))
     return a * b * a.inverse() * b.inverse()
 
 
@@ -297,9 +299,17 @@ def delta_v(n: int) -> Word:
     return Word(vcb(n), tuple(tau(i) for i in range(1, n)))
 
 
-# Longest word that parse_word, maps.project_pk and maps.stabilize_fd will
-# build, and the most strands Word.permutation will lay out.
+# Longest word that Word, its products, powers and commutators,
+# parse_word, maps.project_pk and maps.stabilize_fd will build, and the most
+# strands Word.permutation will lay out.
 MAX_WORD_LETTERS = 10 ** 6
+
+
+def _check_size(what: str, size: int) -> None:
+    """Refuse a word of size letters over MAX_WORD_LETTERS."""
+    if size > MAX_WORD_LETTERS:
+        raise WordError(f"{what} expands to {size} letters, over the cap of "
+                        f"{MAX_WORD_LETTERS} (MAX_WORD_LETTERS)")
 
 # Longest number, leading zeros aside, that a token may carry: far above any
 # usable exponent or strand index, and far below the digit count at which

@@ -202,6 +202,17 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"cap of {MAX_DIMENSION}" in err
 
+    def test_search_half_table_over_cap(self, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the search built something before the "
+                                 "half-table check")
+
+        monkeypatch.setattr(reps, "rho_columns_mod", built)
+        code, out, err = run(capsys, "search", "--n", "6", "--k", "7", "--d",
+                             "1", "--max-len", "12")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "(SEARCH_MAX_HALF_RESIDUES)" in err
+
     def test_search_negative_max_len(self, capsys):
         code, out, err = run(capsys, "search", "--n", "2", "--k", "1", "--d",
                              "1", "--max-len", "-3")

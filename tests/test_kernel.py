@@ -1,8 +1,10 @@
 import functools
+import hashlib
 import itertools
 import json
 import operator
 import random
+import tracemalloc
 
 import pytest
 
@@ -230,8 +232,8 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_kernel(n=n, k=k, d=d, max_len=1)
 
-    @pytest.mark.parametrize("n,max_len", [(2, 5), (3, 5), (4, 4)])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n,max_len", [(2, 5), (3, 5), (4, 4), (2, 7)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_brute_force_reference(self, n, max_len, d):
         for k in range(1, n + 2):
             found = [r.word for r in search_kernel(n, k, d, max_len)]
@@ -255,6 +257,20 @@ class TestSearch:
         results = search_kernel(n=3, k=2, d=1, max_len=6)
         assert len(exact_evaluations) == len(results) == 50
 
+    # (count, hits_digest) of the ordered hit list, recorded from the
+    # depth-first walk that the meet in the middle replaced
+    @pytest.mark.parametrize("n,k,d,max_len,pin", [
+        (3, 2, 1, 10, (1612, "b031b339144e167a")),
+        (4, 3, 2, 8, (480, "2beefec29b7d564d"))])
+    def test_longer_searches_keep_their_hits_and_order(self, n, k, d,
+                                                       max_len, pin):
+        results = search_kernel(n, k, d, max_len)
+        text = "\n".join(f"{r.word}|{r.verified}|{r.freely_trivial}"
+                         for r in results)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (len(results), digest) == pin
+        assert all(r.verified for r in results)
+
     def test_classical_words_built_only_for_hits(self, monkeypatch):
         built = []
         original, trusted = Word.__init__, Word._trusted
@@ -277,32 +293,42 @@ class TestSearch:
         assert built == [r.word for r in results]
 
 
-def pruned_walk_size(n, k, max_len):
-    """Freely reduced words of length 1..max_len over the supported letters
-    that the search's walk reaches and screens: pure ones, and those whose
-    inversion count c leaves room for a pure extension (c more letters, or
-    2 if c = 0)."""
+def half_tree_size(n, k, max_len):
+    """Nodes of the search's two half trees: twice the freely reduced words
+    of length 1..max_len // 2 over the supported letters."""
     supported = [i for i in range(1, n + 1)
                  if i in (k - 1, k) or 1 <= k - i - 1 <= n - 1]
     alphabet = [l for i in supported for l in (sigma(i), sigma(i, -1))]
     size = 0
-    for length in range(1, max_len + 1):
+    for length in range(1, max_len // 2 + 1):
         for letters in itertools.product(alphabet, repeat=length):
-            if any(letters[j + 1] == letters[j].inverse()
-                   for j in range(length - 1)):
-                continue
-            images = Word(classical(n + 1), letters).permutation().images
-            inv = sum(a > b for a, b in itertools.combinations(images, 2))
-            if inv == 0 or max_len - length >= (inv or 2):
+            if not any(letters[j + 1] == letters[j].inverse()
+                       for j in range(length - 1)):
                 size += 1
-    return size
+    return 2 * size
+
+
+def search_halves(n, k, d, max_len, inverse):
+    """The search's alphabet images and the (ranks, key) nodes of its
+    prefix tree, or of its suffix tree if inverse."""
+    alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
+                for l in (sigma(i), sigma(i, -1))]
+    images = [kernel._letter_image(l, k, n, d) for l in alphabet]
+    steps = [kernel._inverse_image(i) for i in images] if inverse else images
+    nodes = list(kernel._halves(steps, [l.index - 1 for l in alphabet],
+                                max_len // 2, n, reps.screen_units()))
+    return alphabet, images, nodes
+
+
+HALF_CELLS = [(3, 2, 1, 8), (4, 3, 2, 6), (4, 5, 1, 5), (2, 1, 3, 4),
+              (4, 4, 3, 6)]
 
 
 class TestPruning:
     @pytest.mark.parametrize("n,k,d,max_len,screened", [
-        (3, 2, 1, 6, 712), (4, 3, 2, 5, 216), (2, 2, 1, 7, 712)])
-    def test_one_screen_step_per_reachable_prefix(self, monkeypatch, n, k, d,
-                                                  max_len, screened):
+        (3, 2, 1, 6, 104), (4, 3, 2, 5, 72), (2, 2, 1, 7, 104)])
+    def test_one_screen_step_per_half_tree_node(self, monkeypatch, n, k, d,
+                                                max_len, screened):
         calls = []
         original = reps.rho_columns_mod
 
@@ -312,7 +338,78 @@ class TestPruning:
 
         monkeypatch.setattr(reps, "rho_columns_mod", counting)
         search_kernel(n, k, d, max_len)
-        assert len(calls) == pruned_walk_size(n, k, max_len) == screened
+        assert len(calls) == half_tree_size(n, k, max_len) == screened
+
+
+class TestHalves:
+    @pytest.mark.parametrize("n,k,d,max_len", HALF_CELLS)
+    def test_prefix_key_is_its_image_and_permutation(self, n, k, d,
+                                                     max_len):
+        alphabet, images, nodes = search_halves(n, k, d, max_len, False)
+        identity = [[int(i == j) for i in range(n)] for j in range(n)]
+        for u, (length, state, perm) in random.Random(n * k).sample(
+                nodes, min(len(nodes), 40)):
+            word = Word(classical(n + 1), tuple(alphabet[r] for r in u))
+            assert length == len(u)
+            assert perm == word.permutation().images
+            assert state == tuple(map(tuple, reps.rho_columns_mod(
+                identity, itertools.chain.from_iterable(images[r] for r in u),
+                reps.screen_units())))
+
+    @pytest.mark.parametrize("n,k,d,max_len", HALF_CELLS)
+    def test_suffix_state_times_its_image_is_the_identity(self, n, k, d,
+                                                          max_len):
+        # a suffix node's ranks are v's letters in the order prepended
+        alphabet, images, nodes = search_halves(n, k, d, max_len, True)
+        identity = [[int(i == j) for i in range(n)] for j in range(n)]
+        for back, (length, state, perm) in random.Random(n + k).sample(
+                nodes, min(len(nodes), 40)):
+            v = back[::-1]
+            word = Word(classical(n + 1), tuple(alphabet[r] for r in v))
+            assert length == len(v)
+            assert reps.rho_columns_mod(
+                [list(col) for col in state],
+                itertools.chain.from_iterable(images[r] for r in v),
+                reps.screen_units()) == identity
+            assert perm == word.inverse().permutation().images
+
+    def test_half_cap_raises_before_anything_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the search built something before the "
+                                 "half-table check")
+
+        monkeypatch.setattr(kernel, "_letter_image", built)
+        monkeypatch.setattr(reps, "rho_columns_mod", built)
+        tracemalloc.start()
+        try:
+            # 12 symbols: 2,125,872 halves of length up to 6, 6x6 states
+            with pytest.raises(ValueError, match=(
+                    "2125872 halves of length up to 6 with 6x6 states hold "
+                    "76531392 residues, over the cap of 1048576")):
+                search_kernel(n=6, k=7, d=1, max_len=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_half_cap_counts_halves_times_residues(self, monkeypatch):
+        # (3,2,1,6): 4 + 12 + 36 halves, 3x3 residues each
+        monkeypatch.setattr(kernel, "SEARCH_MAX_HALF_RESIDUES", 52 * 9)
+        assert len(search_kernel(3, 2, 1, 6)) == 50
+        monkeypatch.setattr(kernel, "SEARCH_MAX_HALF_RESIDUES", 52 * 9 - 1)
+        with pytest.raises(ValueError, match="468 residues"):
+            search_kernel(3, 2, 1, 6)
+
+    def test_length_twelve_at_four_strands_passes_the_cap(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(kernel, "_halves", reached)
+        with pytest.raises(Reached):
+            search_kernel(n=4, k=3, d=2, max_len=12)
 
 
 def reverified(w, k, d):

@@ -4,7 +4,8 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     cancelling_word,
@@ -374,6 +375,39 @@ class TestPackedRows:
                                           for _ in range(50)] + [-1]):
             assert laurent._unpack(laurent._pack(coeffs, width),
                                    width) == coeffs
+
+
+# The largest magnitude a 64-bit slot holds, and slots that reach it, are 0
+# (runs of zero slots) or take any value in between.
+TOP_64 = (1 << 63) - 1
+SLOT_64 = st.one_of(st.sampled_from([0, 1, -1, TOP_64, -TOP_64]),
+                    st.integers(-TOP_64, TOP_64))
+
+
+def unsigned_unpack_64(v: int) -> list[int]:
+    """The 64-bit decode as it read before the signed C-level pass: the
+    biased slots as unsigned words, each less the bias."""
+    half = 1 << 63
+    if -half < v < half:
+        return [v]
+    slots = v.bit_length() // 64 + 1
+    bias = int.from_bytes((bytes(7) + b"\x80") * slots, "little")
+    raw = (v + bias).to_bytes(slots * 8, "little")
+    return [u - half for u in memoryview(raw).cast("Q")]
+
+
+@pytest.mark.skipif(not laurent._LITTLE_ENDIAN,
+                    reason="the signed pass reads native little-endian words")
+@given(st.lists(SLOT_64, max_size=40),
+       st.one_of(st.sampled_from([1, -1, TOP_64, -TOP_64]),
+                 st.integers(-TOP_64, TOP_64).filter(bool)))
+@example([0] * 7, -TOP_64)
+@example([TOP_64, 0, 0, -TOP_64, 0], -1)
+@example([-TOP_64] * 3, TOP_64)
+def test_signed_unpack_matches_unsigned_read(body, top):
+    coeffs = body + [top]
+    v = laurent._pack(coeffs, 64)
+    assert laurent._unpack(v, 64) == unsigned_unpack_64(v) == coeffs
 
 
 def evaluate_mod(poly: LaurentPoly, t0: int, s0: int, p: int) -> int:

@@ -166,6 +166,67 @@ class TestWordOps:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_product_capped_before_the_letters_are_built(self):
+        w = Word(classical(3), (sigma(1),)) ** (MAX_WORD_LETTERS // 2 + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordError, match=(
+                    f"product expands to {2 * len(w)} letters, over the cap "
+                    rf"of {MAX_WORD_LETTERS} \(MAX_WORD_LETTERS\)")):
+                w * w
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_product_at_the_cap(self):
+        w = Word(classical(3), (sigma(1),)) ** (MAX_WORD_LETTERS // 2)
+        assert len(w * w) == MAX_WORD_LETTERS
+        with pytest.raises(WordError, match="product expands to"):
+            w * w * Word(classical(3), (sigma(2),))
+
+    def test_commutator_capped_before_any_part_is_built(self):
+        # a^-1 alone would build half a million new letters
+        a = Word(classical(3), (sigma(1),)) ** (MAX_WORD_LETTERS // 2)
+        b = Word(classical(3), (sigma(2),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordError, match=(
+                    f"commutator expands to {MAX_WORD_LETTERS + 2} letters, "
+                    rf"over the cap of {MAX_WORD_LETTERS} "
+                    r"\(MAX_WORD_LETTERS\)")):
+                commutator(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_commutator_at_the_cap(self):
+        a = Word(classical(3), (sigma(1),)) ** (MAX_WORD_LETTERS // 2 - 1)
+        b = Word(classical(3), (sigma(2),))
+        assert len(commutator(a, b)) == MAX_WORD_LETTERS
+
+    def test_word_capped_before_its_letters_are_checked(self, monkeypatch):
+        def checked(self, letter):
+            raise AssertionError("a letter was checked before the size")
+
+        letters = (sigma(1),) * (MAX_WORD_LETTERS + 1)
+        monkeypatch.setattr(words.Flavor, "check", checked)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordError, match=(
+                    f"word expands to {MAX_WORD_LETTERS + 1} letters, over "
+                    rf"the cap of {MAX_WORD_LETTERS} \(MAX_WORD_LETTERS\)")):
+                Word(classical(3), letters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_word_at_the_cap(self):
+        letters = (sigma(1),) * MAX_WORD_LETTERS
+        assert len(Word(classical(3), letters)) == MAX_WORD_LETTERS
+
     def test_power_at_the_cap(self):
         w = Word(classical(3), (sigma(1), sigma(2)))
         assert len(w ** (MAX_WORD_LETTERS // 2)) == MAX_WORD_LETTERS
