@@ -304,17 +304,42 @@ class PolyMatrix:
     __hash__ = None
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
+        """The product, fused over term maps: each column of other is
+        listed once as its nonzero (row index, term map) pairs, and each
+        output entry accumulates every term product c1*c2 of its row and
+        column into one dict keyed by exponent pair.  Zero coefficients are
+        dropped once, at the end, and only if one occurs; an empty entry is
+        the shared ZERO.  No intermediate polynomial is built."""
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        columns = tuple(zip(*other.rows))
-        return PolyMatrix.from_polys(tuple(
-            tuple(_dot(row, column) for column in columns)
-            for row in self.rows))
+        columns = [[(k, entry._terms.items()) for k, entry in enumerate(column)
+                    if entry._terms] for column in zip(*other.rows)]
+        rows = []
+        for row in self.rows:
+            out = []
+            for column in columns:
+                acc: dict[tuple[int, int], int] = {}
+                for k, right in column:
+                    for (a1, b1), c1 in row[k]._terms.items():
+                        for (a2, b2), c2 in right:
+                            key = (a1 + a2, b1 + b2)
+                            if key in acc:
+                                acc[key] += c1 * c2
+                            else:
+                                acc[key] = c1 * c2
+                if acc and 0 in acc.values():
+                    acc = {key: c for key, c in acc.items() if c}
+                out.append(LaurentPoly.from_nonzero(acc) if acc else ZERO)
+            rows.append(tuple(out))
+        return PolyMatrix.from_polys(tuple(rows))
 
     def is_identity(self) -> bool:
-        return all((entry == ONE) if i == j else not entry
+        """Whether every diagonal term map is ONE's and every other one is
+        empty, compared directly."""
+        one = ONE._terms
+        return all(entry._terms == one if i == j else not entry._terms
                    for i, row in enumerate(self.rows)
                    for j, entry in enumerate(row))
 
@@ -378,16 +403,6 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.n}x{self.n})"
-
-
-def _dot(row: tuple[LaurentPoly, ...],
-         column: tuple[LaurentPoly, ...]) -> LaurentPoly:
-    """Sum of the entry products, skipping those with a zero factor."""
-    acc = ZERO
-    for left, right in zip(row, column):
-        if left and right:
-            acc = acc + left * right
-    return acc
 
 
 def _det(rows: tuple[tuple[LaurentPoly, ...], ...], width: int) -> Rows:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_word, reference_det
-from mnmap import laurent
+from mnmap import kernel, laurent, maps
 from mnmap.laurent import (
     DET_DIMENSION_CAP,
     DET_SLICE_BITS_CAP,
@@ -22,7 +22,7 @@ from mnmap.laurent import (
     ZERO,
 )
 from mnmap.reps import rho_word
-from mnmap.words import vcb
+from mnmap.words import sigma, vcb
 
 
 def polys_st(max_exp=3, max_coeff=9, max_terms=4):
@@ -50,6 +50,11 @@ def naive_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     n = a.n
     return PolyMatrix([[sum((a[i, k] * b[k, j] for k in range(n)), ZERO)
                         for j in range(n)] for i in range(n)])
+
+
+def assert_no_zero_coefficients(matrix: PolyMatrix) -> None:
+    assert all(c for row in matrix.rows for e in row
+               for c in e._terms.values())
 
 
 class TestPoly:
@@ -168,7 +173,7 @@ class TestMatrix:
         with pytest.raises(ValueError):
             PolyMatrix.identity(2) * PolyMatrix.identity(3)
 
-    @given(st.integers(1, 4), st.data())
+    @given(st.integers(1, 6), st.data())
     def test_mul_matches_naive_triple_loop(self, n, data):
         entry = st.one_of(st.just(ZERO), st.just(ONE),
                           polys_st(max_exp=2, max_coeff=4, max_terms=3))
@@ -179,6 +184,54 @@ class TestMatrix:
         assert product.n == n
         assert all(isinstance(e, LaurentPoly)
                    for row in product.rows for e in row)
+        assert_no_zero_coefficients(product)
+
+    @given(st.integers(2, 6), st.data())
+    def test_mul_drops_cancelled_terms(self, n, data):
+        # rows i, i+1 of a hold only the crossing block and columns i, i+1
+        # of b only its inverse, so that block of a * b is the identity and
+        # its entry (i, i+1) is (1 - t) + t (1 - t^-1): every term cancels
+        i = data.draw(st.integers(0, n - 2))
+        block = (i, i + 1)
+        entry = st.one_of(st.just(ZERO),
+                          polys_st(max_exp=2, max_coeff=4, max_terms=3))
+        crossing = [[ONE - T, T], [ONE, ZERO]]
+        inverse = [[ZERO, ONE], [T_INV, ONE - T_INV]]
+        a = PolyMatrix([[crossing[r - i][c - i] if r in block and c in block
+                         else ZERO if r in block else data.draw(entry)
+                         for c in range(n)] for r in range(n)])
+        b = PolyMatrix([[inverse[r - i][c - i] if r in block and c in block
+                         else ZERO if c in block else data.draw(entry)
+                         for c in range(n)] for r in range(n)])
+        product = a * b
+        assert product == naive_product(a, b)
+        assert_no_zero_coefficients(product)
+        assert not product[i, i + 1]
+        assert product[i, i + 1]._terms == {}
+        assert not product[i + 1, i]
+        assert product[i, i] == ONE and product[i + 1, i + 1] == ONE
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mul_of_search_prefixes_matches_naive(self, seed):
+        # the search's re-verification products at n = 4, d = 2: a prefix
+        # product of letter image matrices times one more, with entries in
+        # both t and s
+        n, k, d = 4, 3, 2
+        letters = [letter for i in range(1, n + 1)
+                   if maps.pk_supports(i, k, n)
+                   for letter in (sigma(i), sigma(i, -1))]
+        matrices = [kernel._image_matrix(kernel._letter_image(l, k, n, d), n)
+                    for l in letters]
+        assert any(s_exp for m in matrices for row in m.rows
+                   for e in row for _, s_exp in e._terms)
+        rng = random.Random(seed)
+        prefix = rng.choice(matrices)
+        for _ in range(rng.randint(1, 6)):
+            right = rng.choice(matrices)
+            product = prefix * right
+            assert product == naive_product(prefix, right)
+            assert_no_zero_coefficients(product)
+            prefix = product
 
     def test_det_identity(self):
         assert PolyMatrix.identity(4).det() == ONE
