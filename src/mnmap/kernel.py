@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from itertools import chain
 
 from . import maps, reps
 from .laurent import PolyMatrix, check_dimension
@@ -38,7 +37,6 @@ from .words import (
     cylindrical,
     parse_word,
     sigma,
-    vcb,
 )
 
 SEARCH_MAX_LEN = 12
@@ -155,12 +153,18 @@ class SearchResult(namedtuple("SearchResult", "word verified freely_trivial")):
     search enumerates freely reduced words only.
 
     verified records a second evaluation of that image by an independent
-    matrix computation: the generic product of the word's letters' image
-    matrices, each built once per search as the generic product of the
-    rho_letter matrices of that letter's stabilized image, instead of
-    rho_word's column operations.  Both evaluations start from the same
-    letter-wise substitution (pk_letter_image and stabilize_fd), so an
-    error in that table would pass both."""
+    matrix computation instead of rho_word's column operations: for the
+    word split as uv with |u| = |v|, whether M(u) equals M(v^-1).  M(u) is
+    the generic product of u's letters' image matrices, each built once
+    per search as the generic product of the rho_letter matrices of that
+    letter's stabilized image; M(v^-1) is the generic product, over v
+    reversed, of the matrices built the same way from each letter's
+    inverse image (_inverse_image).  Since each generator's image times
+    its inverse image is exactly the identity, M(u) = M(v^-1) exactly when
+    the generic product of the whole word's letter matrices is the
+    identity.  Both evaluations start from the same letter-wise
+    substitution (pk_letter_image and stabilize_fd), so an error in that
+    table would pass both."""
 
     __slots__ = ()
 
@@ -175,18 +179,20 @@ def _letter_image(letter: Letter, k: int, n: int, d: int
 
 def _image_matrix(image: tuple[Letter, ...], n: int) -> PolyMatrix:
     """The generic product of the rho_letter matrices of a letter sequence
-    at dimension n."""
-    product = PolyMatrix.identity(n)
-    for letter in image:
+    at dimension n: one product per letter after the first."""
+    if not image:
+        return PolyMatrix.identity(n)
+    product = reps.rho_letter(image[0], n)
+    for letter in image[1:]:
         product = product * reps.rho_letter(letter, n)
     return product
 
 
-def _product_is_identity(product: PolyMatrix) -> bool:
-    """Whether a hit's generic product of letter image matrices (from
-    _image_matrix) is the identity: its second evaluation (see
-    SearchResult)."""
-    return product.is_identity()
+def _halves_agree(forward: PolyMatrix, backward: PolyMatrix) -> bool:
+    """Whether a hit's second evaluation holds: forward, the generic
+    product of its first half's letter image matrices, equals backward,
+    that of its second half's inverse image matrices (see SearchResult)."""
+    return forward == backward
 
 
 def _inverse_image(image: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -229,6 +235,20 @@ def _halves(steps: list[tuple[Letter, ...]], swap_at: list[int], depth: int,
     return walk([[int(i == j) for i in range(n)] for j in range(n)], -1)
 
 
+def _backward(v: tuple[int, ...], products: dict[tuple[int, ...],
+                                                 PolyMatrix],
+              inverses: list[PolyMatrix]) -> PolyMatrix:
+    """M(v^-1), the generic product of the inverse image matrices of v's
+    ranks in reverse order, as M(v[1:]^-1) inverses[v[0]]: products holds
+    it for v and for each suffix of v it was built from."""
+    product = products.get(v)
+    if product is None:
+        product = inverses[v[0]] if len(v) == 1 else \
+            _backward(v[1:], products, inverses) * inverses[v[0]]
+        products[v] = product
+    return product
+
+
 def search_kernel(n: int, k: int, d: int, max_len: int,
                   workers: int = 0) -> list[SearchResult]:
     """Enumerate freely reduced pure words up to max_len over the supported
@@ -259,14 +279,19 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     whose screen state is the identity.  A word whose exact image is the
     identity always has that state, so the screen never drops a hit.
 
-    The candidates are sorted by rank sequence, which puts a prefix before
-    its extensions: the depth-first, lexicographic order.  Each is
-    evaluated exactly, by rho_word, and the exact result alone decides a
-    hit.  Each hit is re-verified (see SearchResult), with the products on
-    a stack: exact[i] is the generic product of the letter matrices of the
-    first i + 1 letters of the last hit, cut back to the common prefix of
-    consecutive hits, so each distinct hit prefix of two or more letters
-    is multiplied once (a one-letter prefix is its letter's matrix).  A
+    The stored prefixes are freed once the candidates are collected.  The
+    candidates are sorted by rank sequence, which puts a prefix before its
+    extensions: the depth-first, lexicographic order.  The exact result
+    alone decides a hit.  walk holds the rho walk states (reps.rho_walk)
+    of the last candidate's prefixes, cut back to the common prefix of
+    consecutive candidates, so each candidate walks only its letters past
+    that prefix, and reps.rho_is_identity decides on the packed state.
+    Each hit w = uv is re-verified (see SearchResult) with the products of
+    its halves shared: exact holds M of the last candidate's prefixes, cut
+    back the same way and extended only as far as a hit's u, and backward
+    holds M(v^-1) for each v and its suffixes, cleared whenever the first
+    rank changes.  So each distinct prefix of u, and per first rank each
+    distinct suffix of v, of two or more letters is multiplied once.  A
     stable sort by length then gives the result order, and classical
     words are built for the hits only.
 
@@ -300,9 +325,11 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
             f"{halves} halves of length up to {half} with {n}x{n} states "
             f"hold {halves * n * n} residues, over the cap of "
             f"{SEARCH_MAX_HALF_RESIDUES} (SEARCH_MAX_HALF_RESIDUES)")
-    target, domain = vcb(n), classical(n + 1)
+    domain = classical(n + 1)
     images = [_letter_image(letter, k, n, d) for letter in alphabet]
+    backs = [_inverse_image(image) for image in images]
     matrices = [_image_matrix(image, n) for image in images]
+    inverses = [_image_matrix(back, n) for back in backs]
     swap_at = [letter.index - 1 for letter in alphabet]
     units = reps.screen_units()
 
@@ -310,29 +337,40 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     for u, key in _halves(images, swap_at, half, n, units):
         table.setdefault(key, []).append(u)
     candidates = []
-    for back, key in _halves([_inverse_image(image) for image in images],
-                             swap_at, half, n, units):
+    for back, key in _halves(backs, swap_at, half, n, units):
         first = back[-1]  # back lists v's ranks in the order prepended
         for u in table.get(key, ()):
             if u[-1] != first ^ 1:
                 candidates.append(u + back[::-1])
+    del table
     candidates.sort()
 
-    exact: list[PolyMatrix] = []  # exact[i]: the product for last[:i+1]
+    # walk[i]: the rho walk state of last[:i]; exact[i]: the generic
+    # product for last[:i+1], only ever as far as a hit's first half
+    walk, exact = [reps.rho_start(n)], []
     last: tuple[int, ...] = ()
+    backward: dict[tuple[int, ...], PolyMatrix] = {}  # v -> M(v^-1)
+    group = -1  # the first rank of the words whose v are in backward
     hits: list[tuple[tuple[int, ...], bool]] = []
     for word in candidates:
-        letters = tuple(chain.from_iterable(images[q] for q in word))
-        if not reps.rho_word(Word._trusted(target, letters)).is_identity():
-            continue
+        # sorted and distinct, so a word is never a prefix of the last one
         common = 0
-        while common < len(exact) and word[common] == last[common]:
+        while common < len(last) and word[common] == last[common]:
             common += 1
-        del exact[common:]
+        del walk[common + 1:], exact[common:]
         for q in word[common:]:
-            exact.append(exact[-1] * matrices[q] if exact else matrices[q])
-        hits.append((word, _product_is_identity(exact[-1])))
+            walk.append(reps.rho_walk(walk[-1], images[q]))
         last = word
+        if not reps.rho_is_identity(walk[-1]):
+            continue
+        h = len(word) // 2
+        for q in word[len(exact):h]:
+            exact.append(exact[-1] * matrices[q] if exact else matrices[q])
+        if word[0] != group:
+            backward.clear()
+            group = word[0]
+        hits.append((word, _halves_agree(exact[h - 1], _backward(
+            word[h:], backward, inverses))))
     # a stable sort keeps each length in lexicographic order
     hits.sort(key=lambda hit: len(hit[0]))
     return [SearchResult(

@@ -120,41 +120,35 @@ def _cross(x: Rows, y: Rows, e: int, dt: int, ds: int, width: int) -> Rows:
     return out
 
 
-def rho_word(w: Word) -> PolyMatrix:
-    """Left-to-right product of the letter images; dimension = strand count.
+# rho_word's walk state: (W, columns, bounds, t_exps, s_exps).  Column j is
+# a list of packed entries (Rows at slot width W) times the monomial factor
+# t^t_exps[j] s^s_exps[j], and bounds[j] bounds its coefficients.  The lists
+# of a state are never changed once a walk returns it.
+RhoState = tuple[int, list[list[Rows]], list[int], list[int], list[int]]
 
-    Computed by column operations: right-multiplying by a generator image
-    touches two columns (crossings) or rotates the columns (cyclic shift),
-    which is exact and agrees entry-for-entry with the generic matrix
-    product.  Each column is a list of entries times one monomial factor
-    t^a s^b, with a and b kept per column.  Each entry is kept as packed
-    t-rows keyed by the power of s (Rows), all with one slot width W.
+# The packed entry of the constant 1; only the identity's diagonal starts
+# as it, so an entry that is still this object was never touched.
+_ONE_ROWS: Rows = {0: (0, 1)}
 
-    Only the sum of a crossing does work per entry.  A crossing's copy
-    x' = t^+-1 y is y's entry list with 1 added to or taken from a; tau
-    swaps two lists and moves their b by -+1; zeta rotates the lists with
-    their factors.  The sum y' = x + (1 - t^+-1) y takes x's factor, and
-    each of its entries is x's plus y's moved by the factors' difference,
-    a shift and two additions per row (_cross), or x's entry itself where
-    y's is 0.
 
-    Each column carries a bound on its coefficients, M_x + 2 M_y after a
-    crossing; a monomial factor changes no coefficient, so the bounds
-    ignore it.  Before a bound would reach 2^(W-1), the crossing's columns
-    are decoded to their true maxima; if those still reach it, every entry
-    is repacked at about twice the bits needed.  Each entry becomes a
-    LaurentPoly once, at the end, when its column's factor is applied.
-    """
-    n = w.n
+def rho_start(n: int) -> RhoState:
+    """The walk state of the n x n identity matrix."""
     check_dimension(n)
-    width = _START_WIDTH
+    cols = [[_ONE_ROWS if i == j else {} for i in range(n)]
+            for j in range(n)]
+    return _START_WIDTH, cols, [1] * n, [0] * n, [0] * n
+
+
+def rho_walk(state: RhoState, letters: Iterable[Letter]) -> RhoState:
+    """The state of state's matrix right-multiplied by the letters' images
+    (see rho_word).  state itself is not changed, so a caller can resume
+    from it again."""
+    width, cols, bounds, t_exps, s_exps = state
+    cols, bounds = list(cols), list(bounds)
+    t_exps, s_exps = list(t_exps), list(s_exps)
+    n = len(cols)
     limit = 1 << (width - 1)
-    one: Rows = {0: (0, 1)}
-    zero: Rows = {}
-    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    bounds = [1] * n
-    t_exps, s_exps = [0] * n, [0] * n  # column j's factor t^a s^b
-    for letter in w:
+    for letter in letters:
         e = letter.sign
         if letter.kind == ZETA:  # rotate right for zeta, left for zeta^-1
             cols, bounds = cols[-e:] + cols[:-e], bounds[-e:] + bounds[:-e]
@@ -190,12 +184,62 @@ def rho_word(w: Word) -> PolyMatrix:
         bounds[x], bounds[y] = bounds[y], bound
         t_exps[x], t_exps[y] = t_exps[y] + e, t_exps[x]
         s_exps[x], s_exps[y] = s_exps[y], s_exps[x]
+    return width, cols, bounds, t_exps, s_exps
+
+
+def rho_decode(state: RhoState) -> PolyMatrix:
+    """The matrix of a walk state, each entry times its column's factor."""
+    width, cols, _, t_exps, s_exps = state
     # only entries no crossing touched, in a column with factor 1, come back
     # as the shared ONE; empty entries are the shared ZERO
-    polys = [[ONE if entry is one and not (ta or sb) else
+    polys = [[ONE if entry is _ONE_ROWS and not (ta or sb) else
               _from_rows(entry, width, ta, sb) if entry else ZERO
               for entry in col] for col, ta, sb in zip(cols, t_exps, s_exps)]
     return PolyMatrix.from_polys(tuple(zip(*polys)))
+
+
+def rho_is_identity(state: RhoState) -> bool:
+    """Whether a walk state's matrix is the identity, decided on the packed
+    entries: every entry off the diagonal must be empty (a slice that
+    cancels is dropped, so 0 is always empty), and only the diagonal is
+    decoded."""
+    width, cols, _, t_exps, s_exps = state
+    for j, col in enumerate(cols):
+        for i, entry in enumerate(col):
+            if i != j and entry:
+                return False
+    return all(_from_rows(col[j], width, ta, sb) == ONE for j, (col, ta, sb)
+               in enumerate(zip(cols, t_exps, s_exps)))
+
+
+def rho_word(w: Word) -> PolyMatrix:
+    """Left-to-right product of the letter images; dimension = strand count.
+    It is rho_decode(rho_walk(rho_start(n), w)), so a caller can also walk
+    a word in pieces and resume from any piece's state.
+
+    Computed by column operations: right-multiplying by a generator image
+    touches two columns (crossings) or rotates the columns (cyclic shift),
+    which is exact and agrees entry-for-entry with the generic matrix
+    product.  Each column is a list of entries times one monomial factor
+    t^a s^b, with a and b kept per column.  Each entry is kept as packed
+    t-rows keyed by the power of s (Rows), all with one slot width W.
+
+    Only the sum of a crossing does work per entry.  A crossing's copy
+    x' = t^+-1 y is y's entry list with 1 added to or taken from a; tau
+    swaps two lists and moves their b by -+1; zeta rotates the lists with
+    their factors.  The sum y' = x + (1 - t^+-1) y takes x's factor, and
+    each of its entries is x's plus y's moved by the factors' difference,
+    a shift and two additions per row (_cross), or x's entry itself where
+    y's is 0.
+
+    Each column carries a bound on its coefficients, M_x + 2 M_y after a
+    crossing; a monomial factor changes no coefficient, so the bounds
+    ignore it.  Before a bound would reach 2^(W-1), the crossing's columns
+    are decoded to their true maxima; if those still reach it, every entry
+    is repacked at about twice the bits needed.  Each entry becomes a
+    LaurentPoly once, at the end, when its column's factor is applied.
+    """
+    return rho_decode(rho_walk(rho_start(w.n), w))
 
 
 # Evaluation at a point is a ring homomorphism Z[t^+-1, s^+-1] -> Z/p, so a

@@ -297,8 +297,8 @@ class TestVerificationFailure:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_search_hit_failing_reverification_exits_1(self, capsys,
                                                         monkeypatch, fmt):
-        monkeypatch.setattr(kernel, "_product_is_identity",
-                            lambda matrices: False)
+        monkeypatch.setattr(kernel, "_halves_agree",
+                            lambda forward, backward: False)
         code, out, _ = run(capsys, "search", "--n", "2", "--k", "1", "--d",
                            "1", "--max-len", "2", "--format", fmt)
         assert code == 1

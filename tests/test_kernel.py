@@ -161,14 +161,15 @@ class TestTheorem2:
 
 @pytest.fixture
 def exact_evaluations(monkeypatch):
-    """The words the search evaluates exactly with rho_word."""
+    """The rho walk states the search decides exactly, one per candidate."""
     evaluated = []
+    decide = reps.rho_is_identity
 
-    def counting(w):
-        evaluated.append(w)
-        return rho_word(w)
+    def counting(state):
+        evaluated.append(state)
+        return decide(state)
 
-    monkeypatch.setattr(reps, "rho_word", counting)
+    monkeypatch.setattr(reps, "rho_is_identity", counting)
     return evaluated
 
 
@@ -232,18 +233,22 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_kernel(n=n, k=k, d=d, max_len=1)
 
-    @pytest.mark.parametrize("n,max_len", [(2, 5), (3, 5), (4, 4), (2, 7)])
+    # at n = 1 one letter's stabilized image is empty
+    @pytest.mark.parametrize("n,max_len", [(2, 5), (3, 5), (4, 4), (2, 7),
+                                           (1, 6)])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_brute_force_reference(self, n, max_len, d):
         for k in range(1, n + 2):
-            found = [r.word for r in search_kernel(n, k, d, max_len)]
+            results = search_kernel(n, k, d, max_len)
+            found = [r.word for r in results]
             assert found == reference_search(n, k, d, max_len), (n, k, d)
+            assert all(r.verified for r in results), (n, k, d)
 
     def test_exact_decision_where_the_screen_passes_pure_words(
             self, monkeypatch, exact_evaluations):
         # at t = s = 1 a word's image evaluates to the permutation matrix
         # of its stabilized image, so many pure non-hits pass the screen
-        # and only the exact rho_word tells them apart
+        # and only the exact decision on the rho walk tells them apart
         monkeypatch.setattr(reps, "SCREEN_POINT", (1, 1))
         hits = 0
         for n, max_len in [(2, 5), (3, 5), (4, 4)]:
@@ -261,7 +266,8 @@ class TestSearch:
     # depth-first walk that the meet in the middle replaced
     @pytest.mark.parametrize("n,k,d,max_len,pin", [
         (3, 2, 1, 10, (1612, "b031b339144e167a")),
-        (4, 3, 2, 8, (480, "2beefec29b7d564d"))])
+        (4, 3, 2, 8, (480, "2beefec29b7d564d")),
+        (4, 3, 2, 10, (4770, "2158eda5a3d8894e"))])
     def test_longer_searches_keep_their_hits_and_order(self, n, k, d,
                                                        max_len, pin):
         results = search_kernel(n, k, d, max_len)
@@ -413,13 +419,20 @@ class TestHalves:
 
 
 def reverified(w, k, d):
-    """_product_is_identity on the generic product of the image matrices of
-    w's letters, built the way search_kernel builds them for its
-    alphabet."""
+    """The search's second evaluation of w = uv with |u| = |v|: the
+    generic product of u's letter image matrices against that of v's
+    inverse image matrices in reverse order, each matrix built the way
+    search_kernel builds them for its alphabet."""
     n = w.n - 1
-    return kernel._product_is_identity(functools.reduce(operator.mul, (
-        kernel._image_matrix(kernel._letter_image(letter, k, n, d), n)
-        for letter in w)))
+    images = [kernel._letter_image(letter, k, n, d) for letter in w]
+    h = len(images) // 2
+    forward = functools.reduce(operator.mul, (
+        kernel._image_matrix(image, n) for image in images[:h]),
+        PolyMatrix.identity(n))
+    backward = functools.reduce(operator.mul, (
+        kernel._image_matrix(kernel._inverse_image(image), n)
+        for image in reversed(images[h:])), PolyMatrix.identity(n))
+    return kernel._halves_agree(forward, backward)
 
 
 class TestReverification:
@@ -441,15 +454,35 @@ class TestReverification:
         assert not reverified(w, 1, 1)
         assert reverified(parse_word("s1^-2", classical(3)), 1, 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_image_matrix_times_inverse_image_matrix_is_the_identity(self, n):
+        # the second evaluation compares M(u) with M(v^-1) built from the
+        # inverse images, which is M(uv) = I exactly when this holds; at the
+        # distinguished letters the image of sigma^-1 is not the inverse
+        # image of sigma's, so every image is checked on its own
+        for k in range(1, n + 2):
+            for d in (1, 2, 3):
+                for i in range(1, n + 1):
+                    if not maps.pk_supports(i, k, n):
+                        continue
+                    for letter in (sigma(i), sigma(i, -1)):
+                        image = kernel._letter_image(letter, k, n, d)
+                        product = kernel._image_matrix(image, n) * \
+                            kernel._image_matrix(
+                                kernel._inverse_image(image), n)
+                        assert product.is_identity(), (n, k, d, letter)
+
     @pytest.mark.parametrize("n,k,d,max_len", [(3, 2, 1, 6), (3, 2, 1, 1),
                                                (4, 3, 2, 4), (2, 1, 3, 5)])
     def test_one_rho_letter_call_per_stabilized_image_letter(
             self, monkeypatch, n, k, d, max_len):
+        # each alphabet image is multiplied out once, and its inverse image
+        # (the same letters reversed, signs flipped) once
         alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
                     for l in (sigma(i), sigma(i, -1))]
-        expected = sum(len(maps.stabilize_fd(Word(cylindrical(n),
+        expected = 2 * sum(len(maps.stabilize_fd(Word(cylindrical(n),
                            maps.pk_letter_image(l.index, l.sign, k, n)), d))
-                       for l in alphabet)
+                           for l in alphabet)
         calls = []
 
         def counting(letter, dim):
@@ -465,12 +498,16 @@ class TestReverification:
                                                (2, 2, 1, 7)])
     def test_each_hit_prefix_multiplied_once(self, monkeypatch, n, k, d,
                                              max_len):
-        # setup: identity times each letter of each alphabet image; then
-        # one product per distinct hit prefix of two or more letters, since
-        # a one-letter prefix's product is that letter's matrix
+        # setup: one product per letter after the first of each alphabet
+        # image and of its inverse image.  Then each hit w = uv compares
+        # M(u) with M(v^-1): one product per distinct prefix of two or more
+        # letters of the hits' u, and, among the hits with the same first
+        # letter, one per distinct suffix of two or more letters of their
+        # v, since a one-letter half's product is that letter's matrix
         alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
                     for l in (sigma(i), sigma(i, -1))]
-        setup = sum(len(kernel._letter_image(l, k, n, d)) for l in alphabet)
+        setup = 2 * sum(max(len(kernel._letter_image(l, k, n, d)) - 1, 0)
+                        for l in alphabet)
         calls = []
         multiply = PolyMatrix.__mul__
 
@@ -480,29 +517,46 @@ class TestReverification:
 
         monkeypatch.setattr(PolyMatrix, "__mul__", counting)
         results = search_kernel(n, k, d, max_len)
-        prefixes = {r.word.letters[:i] for r in results
-                    for i in range(2, len(r.word) + 1)}
+        prefixes, suffixes = set(), set()
+        for r in results:
+            h = len(r.word) // 2
+            v = r.word.letters[h:]
+            prefixes.update(r.word.letters[:i] for i in range(2, h + 1))
+            suffixes.update((r.word.letters[0], v[i:])
+                            for i in range(len(v) - 1))
         assert all(r.verified for r in results)
-        assert len(prefixes) < sum(len(r.word) - 1 for r in results)
-        assert len(calls) == setup + len(prefixes)
+        assert len(prefixes) + len(suffixes) < sum(len(r.word) - 2
+                                                   for r in results)
+        assert len(calls) == setup + len(prefixes) + len(suffixes)
 
     def test_a_corrupted_letter_matrix_fails_the_hits_that_use_it(
             self, monkeypatch):
-        # sigma_1^-1 at dimension 3 gets sigma_1's block; rho_word and the
-        # screen never call rho_letter, so the hits stay the same and only
-        # those whose stabilized image holds sigma_1^-1 fail re-verification
+        # sigma_1^-1 at dimension 3 gets sigma_1's block; the rho walk and
+        # the screen never call rho_letter, so the hits stay the same.  A
+        # hit w = uv fails re-verification exactly when, with every
+        # sigma_1^-1 read as sigma_1, the stabilized image of u and the
+        # inverse of that of v have different images under the rho walk
         def corrupted(letter, dim):
             if letter == sigma(1, -1):
                 letter = sigma(1)
             return rho_letter(letter, dim)
+
+        def misread(letters):
+            return Word(cylindrical(n), tuple(
+                sigma(1) if l == sigma(1, -1) else l for l in letters))
 
         n, k, d = 3, 2, 1
         honest = search_kernel(n, k, d, 6)
         monkeypatch.setattr(reps, "rho_letter", corrupted)
         results = search_kernel(n, k, d, 6)
         assert [r.word for r in results] == [r.word for r in honest]
-        affected = [sigma(1, -1) in maps.stabilize_fd(project_pk(r.word, k),
-                                                      d).letters
-                    for r in results]
-        assert 0 < sum(affected) < len(results)
-        assert [r.verified for r in results] == [not a for a in affected]
+        failed = []
+        for r in results:
+            h = len(r.word) // 2
+            u, v = (tuple(itertools.chain.from_iterable(
+                kernel._letter_image(letter, k, n, d) for letter in half))
+                for half in (r.word.letters[:h], r.word.letters[h:]))
+            failed.append(rho_word(misread(u)) != rho_word(misread(
+                kernel._inverse_image(v))))
+        assert 0 < sum(failed) < len(results)
+        assert [r.verified for r in results] == [not f for f in failed]

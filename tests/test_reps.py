@@ -266,6 +266,60 @@ class TestRhoWordWalk:
         assert any(old < new for old, new in repacks)
 
 
+class TestResumableWalk:
+    """rho_word is rho_decode(rho_walk(rho_start(n), w)); a walk resumes
+    from any state it returned, and rho_is_identity decides the identity
+    on the packed state."""
+
+    WORDS = TestRhoWordWalk.WORDS + [w * w.inverse()
+                                     for w in TestRhoWordWalk.WORDS[::4]]
+
+    @staticmethod
+    def walk_in_pieces(w: Word, rng: random.Random):
+        """The states after each of a few random cuts of w, walking each
+        piece from the state before it, and the cuts."""
+        cuts = sorted(rng.sample(range(len(w) + 1), min(4, len(w) + 1)))
+        states, start = [reps.rho_start(w.n)], 0
+        for cut in cuts + [len(w)]:
+            states.append(reps.rho_walk(states[-1], w.letters[start:cut]))
+            start = cut
+        return states, [0] + cuts + [len(w)]
+
+    @pytest.mark.parametrize("start_width", [64, 8])
+    def test_pieces_match_one_pass_and_decide_like_rho_word(
+            self, monkeypatch, start_width):
+        # at 8-bit slots pieces start and end between repacks and widenings
+        monkeypatch.setattr(reps, "_START_WIDTH", start_width)
+        rng = random.Random(start_width)
+        decisions = []
+        for w in self.WORDS:
+            states, cuts = self.walk_in_pieces(w, rng)
+            whole = reps.rho_walk(reps.rho_start(w.n), w)
+            assert states[-1] == whole, str(w)
+            # no later piece changed an earlier state
+            for state, cut in zip(states, cuts):
+                assert state == reps.rho_walk(reps.rho_start(w.n),
+                                              w.letters[:cut]), str(w)
+            image = rho_word(w)
+            assert reps.rho_decode(states[-1]) == image
+            decisions.append(reps.rho_is_identity(states[-1]))
+            assert decisions[-1] == image.is_identity(), str(w)
+        assert 0 < sum(decisions) < len(decisions)
+
+    @pytest.mark.parametrize("text, n, identity", [
+        ("t1 z", 2, False),  # diag(s, s^-1): empty off the diagonal
+        ("t1 z t1 z", 2, False),
+        ("t1 t1", 2, True),
+        ("z z z", 3, True),
+        ("s1 t1 t1 s1^-1", 3, True),
+        ("s1 t1 z s1^-1", 2, False)])
+    def test_identity_decided_on_the_diagonal(self, text, n, identity):
+        w = parse_word(text, vcb(n))
+        state = reps.rho_walk(reps.rho_start(n), w)
+        assert reps.rho_is_identity(state) is identity
+        assert rho_word(w).is_identity() is identity
+
+
 def letter_product(w: Word) -> PolyMatrix:
     """The generic product of w's rho_letter images."""
     product = PolyMatrix.identity(w.n)

@@ -47,7 +47,8 @@ def test_search_script_fails_on_a_hit_that_fails_re_verification(
     honest = capsys.readouterr().out
     assert "NOT VERIFIED" not in honest
 
-    monkeypatch.setattr(kernel, "_product_is_identity", lambda product: False)
+    monkeypatch.setattr(kernel, "_halves_agree",
+                        lambda forward, backward: False)
     assert main(SMALL_SEARCH) == 1
     failed = capsys.readouterr().out
     hit_lines = [line for line in honest.splitlines() if line.startswith("  ")]
