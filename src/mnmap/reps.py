@@ -78,64 +78,98 @@ def rho_letter(letter: Letter, n: int) -> PolyMatrix:
 # rho_word's first slot width W in bits (a multiple of 8).
 _START_WIDTH = 64
 
+# A column of rho_word's walk: one dict from s n + i, for a power s of s and
+# a row i, to that s-slice of entry i packed as in Rows, (t_lo, v).  Zero
+# slices are absent, so an entry that is 0 has no key.
+Column = dict[int, tuple[int, int]]
 
-def _repack(col: list[Rows], width: int, new_width: int
-            ) -> tuple[list[Rows], int]:
-    """col's entries at new_width with their zero low slots trimmed, and
-    the largest coefficient magnitude in them."""
-    bound, out = 0, []
-    for entry in col:
-        new = {}
-        for s, (lo, v) in entry.items():
-            coeffs = _unpack(v, width)
-            z = next(i for i, c in enumerate(coeffs) if c)
-            bound = max(bound, max(coeffs), -min(coeffs))
-            new[s] = (lo + z, v >> width * z if new_width == width
-                      else _pack(coeffs[z:], new_width))
-        out.append(new)
+
+def _fits_half(v: int, width: int) -> bool:
+    """The range test: whether every signed width-bit slot of v lies in
+    [-2^(W/2), 2^(W/2)), read off v without decoding it.  Adding B, 2^(W/2)
+    in each slot, puts an in-range slot in [0, 2^(W/2+1)) without a carry,
+    so the test is (v + B) & H == 0 for H, bits W/2+1 .. W-1 of each slot.
+    The slots below the lowest one out of range carry nothing into it, so
+    it sets a bit of H: a high bit of its own if too large, bit W-1 by the
+    borrow if too small.  B and H have v's slot count, sized as _unpack
+    sizes its bias; v must decode (every slot below 2^(W-1) in
+    magnitude)."""
+    size, half = width >> 3, 1 << (width >> 1)
+    slots = v.bit_length() // width + 1
+    bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+    high = int.from_bytes(((1 << width) - (half << 1)).to_bytes(
+        size, "little") * slots, "little")
+    return not (v + bias) & high
+
+
+def _repack(col: Column, width: int, new_width: int
+            ) -> tuple[Column, int]:
+    """col's slices at new_width with their zero low slots trimmed, and a
+    bound on its coefficients.  At the same width a slice that passes the
+    range test (_fits_half) is trimmed at v's lowest set bit, not decoded,
+    and bounded by 2^(W/2); a slice fails only when a slot reaches 2^(W/2)
+    in magnitude, so once any slice is decoded the bound is the column's
+    largest coefficient magnitude."""
+    same, half = new_width == width, 1 << (width >> 1)
+    bound, out = 0, {}
+    for key, (lo, v) in col.items():
+        if same and _fits_half(v, width):
+            z = ((v & -v).bit_length() - 1) // width
+            bound = max(bound, half)
+            out[key] = (lo + z, v >> width * z)
+            continue
+        coeffs = _unpack(v, width)
+        z = next(i for i, c in enumerate(coeffs) if c)
+        bound = max(bound, max(coeffs), -min(coeffs))
+        out[key] = (lo + z, v >> width * z if same
+                    else _pack(coeffs[z:], new_width))
     return out, bound
 
 
-def _cross(x: Rows, y: Rows, e: int, dt: int, ds: int, width: int) -> Rows:
-    """x + (1 - t^e) t^dt s^ds y for e = +-1, one s-slice at a time:
-    t^dt s^ds moves y's t_lo by dt and its s key by ds, (1 - t) y is
-    vy - (vy << width) at that t_lo, and (1 - t^-1) y is the negation one
-    lower."""
+def _largest(col: Column, width: int) -> int:
+    """The largest coefficient magnitude in col, decoded."""
+    return max(abs(c) for _, v in col.values() for c in _unpack(v, width))
+
+
+def _cross(x: Column, y: Column, e: int, dt: int, shift: int, width: int
+           ) -> Column:
+    """x + (1 - t^e) t^dt s^ds y for e = +-1 on whole columns, one slice at
+    a time, with shift = ds n: t^dt s^ds moves y's t_lo by dt and its keys
+    by shift, (1 - t) y is vy - (vy << width) at that t_lo, and
+    (1 - t^-1) y is the negation one lower."""
     out = dict(x)
-    for s, (lo, vy) in y.items():
-        s += ds
+    for key, (lo, vy) in y.items():
+        key += shift
         if e == 1:
             vz, lo = vy - (vy << width), lo + dt
         else:
             vz, lo = (vy << width) - vy, lo + dt - 1
-        lo_x, vx = out.get(s, (lo, 0))
+        lo_x, vx = out.get(key, (lo, 0))
         if lo_x <= lo:
             v, lo = vx + (vz << width * (lo - lo_x)), lo_x
         else:
             v = (vx << width * (lo_x - lo)) + vz
         if v:
-            out[s] = (lo, v)
+            out[key] = (lo, v)
         else:
-            del out[s]
+            del out[key]
     return out
 
 
 # rho_word's walk state: (W, columns, bounds, t_exps, s_exps).  Column j is
-# a list of packed entries (Rows at slot width W) times the monomial factor
-# t^t_exps[j] s^s_exps[j], and bounds[j] bounds its coefficients.  The lists
-# of a state are never changed once a walk returns it.
-RhoState = tuple[int, list[list[Rows]], list[int], list[int], list[int]]
+# a Column of slices at slot width W times the monomial factor
+# t^t_exps[j] s^s_exps[j], and bounds[j] bounds its coefficients.  The dicts
+# and lists of a state are never changed once a walk returns it.
+RhoState = tuple[int, list[Column], list[int], list[int], list[int]]
 
-# The packed entry of the constant 1; only the identity's diagonal starts
-# as it, so an entry that is still this object was never touched.
+# The packed rows of the constant 1.
 _ONE_ROWS: Rows = {0: (0, 1)}
 
 
 def rho_start(n: int) -> RhoState:
     """The walk state of the n x n identity matrix."""
     check_dimension(n)
-    cols = [[_ONE_ROWS if i == j else {} for i in range(n)]
-            for j in range(n)]
+    cols = [{j: (0, 1)} for j in range(n)]
     return _START_WIDTH, cols, [1] * n, [0] * n, [0] * n
 
 
@@ -173,14 +207,19 @@ def rho_walk(state: RhoState, letters: Iterable[Letter]) -> RhoState:
             for j in (x, y):
                 cols[j], bounds[j] = _repack(cols[j], width, width)
             bound = bounds[x] + 2 * bounds[y]
+            if bound >= limit:  # 2^(W/2) may be above a column's maximum
+                for j in (x, y):
+                    if bounds[j] == 1 << (width >> 1):
+                        bounds[j] = _largest(cols[j], width)
+                bound = bounds[x] + 2 * bounds[y]
             if bound >= limit:
                 wider = -(-(bound.bit_length() + 1) // 4) * 8
                 for j in range(n):
                     cols[j], bounds[j] = _repack(cols[j], width, wider)
                 width, limit = wider, 1 << (wider - 1)
         dt, ds = t_exps[y] - t_exps[x], s_exps[y] - s_exps[x]
-        cols[x], cols[y] = cols[y], [_cross(p, q, e, dt, ds, width) if q
-                                     else p for p, q in zip(cols[x], cols[y])]
+        cols[x], cols[y] = cols[y], _cross(cols[x], cols[y], e, dt, ds * n,
+                                           width)
         bounds[x], bounds[y] = bounds[y], bound
         t_exps[x], t_exps[y] = t_exps[y] + e, t_exps[x]
         s_exps[x], s_exps[y] = s_exps[y], s_exps[x]
@@ -188,28 +227,38 @@ def rho_walk(state: RhoState, letters: Iterable[Letter]) -> RhoState:
 
 
 def rho_decode(state: RhoState) -> PolyMatrix:
-    """The matrix of a walk state, each entry times its column's factor."""
+    """The matrix of a walk state, each entry times its column's factor.
+    Each column's slices are grouped by row into Rows, the form that
+    laurent._from_rows decodes."""
     width, cols, _, t_exps, s_exps = state
-    # only entries no crossing touched, in a column with factor 1, come back
-    # as the shared ONE; empty entries are the shared ZERO
-    polys = [[ONE if entry is _ONE_ROWS and not (ta or sb) else
-              _from_rows(entry, width, ta, sb) if entry else ZERO
-              for entry in col] for col, ta, sb in zip(cols, t_exps, s_exps)]
+    n = len(cols)
+    polys = []
+    for col, ta, sb in zip(cols, t_exps, s_exps):
+        entries: list[Rows] = [{} for _ in range(n)]
+        for key, slice_ in col.items():
+            s, i = divmod(key, n)
+            entries[i][s] = slice_
+        # an entry 1 in a column with factor 1 comes back as the shared ONE,
+        # an empty entry as the shared ZERO
+        polys.append([ONE if entry == _ONE_ROWS and not (ta or sb) else
+                      _from_rows(entry, width, ta, sb) if entry else ZERO
+                      for entry in entries])
     return PolyMatrix.from_polys(tuple(zip(*polys)))
 
 
 def rho_is_identity(state: RhoState) -> bool:
     """Whether a walk state's matrix is the identity, decided on the packed
-    entries: every entry off the diagonal must be empty (a slice that
-    cancels is dropped, so 0 is always empty), and only the diagonal is
+    columns: column j must have exactly one key, in row j (a slice that
+    cancels is dropped, so a 0 entry has no key), and only that slice is
     decoded."""
     width, cols, _, t_exps, s_exps = state
+    n = len(cols)
     for j, col in enumerate(cols):
-        for i, entry in enumerate(col):
-            if i != j and entry:
-                return False
-    return all(_from_rows(col[j], width, ta, sb) == ONE for j, (col, ta, sb)
-               in enumerate(zip(cols, t_exps, s_exps)))
+        if len(col) != 1 or next(iter(col)) % n != j:
+            return False
+    return all(_from_rows({key // n: slice_ for key, slice_ in col.items()},
+                          width, ta, sb) == ONE
+               for col, ta, sb in zip(cols, t_exps, s_exps))
 
 
 def rho_word(w: Word) -> PolyMatrix:
@@ -220,24 +269,27 @@ def rho_word(w: Word) -> PolyMatrix:
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
     which is exact and agrees entry-for-entry with the generic matrix
-    product.  Each column is a list of entries times one monomial factor
-    t^a s^b, with a and b kept per column.  Each entry is kept as packed
-    t-rows keyed by the power of s (Rows), all with one slot width W.
+    product.  Each column is one dict (Column) times one monomial factor
+    t^a s^b, with a and b kept per column.  The dict holds every nonzero
+    s-slice of every entry of the column as packed t-rows, keyed by
+    s n + row, all with one slot width W.
 
-    Only the sum of a crossing does work per entry.  A crossing's copy
-    x' = t^+-1 y is y's entry list with 1 added to or taken from a; tau
-    swaps two lists and moves their b by -+1; zeta rotates the lists with
-    their factors.  The sum y' = x + (1 - t^+-1) y takes x's factor, and
-    each of its entries is x's plus y's moved by the factors' difference,
-    a shift and two additions per row (_cross), or x's entry itself where
-    y's is 0.
+    Only the sum of a crossing does work on slices.  A crossing's copy
+    x' = t^+-1 y is y's dict with 1 added to or taken from a; tau swaps two
+    dicts and moves their b by -+1; zeta rotates the dicts with their
+    factors.  The sum y' = x + (1 - t^+-1) y takes x's factor and is one
+    _cross: a copy of x's dict, plus each of y's slices moved by the
+    factors' difference (its key by ds n), a shift and two additions each.
 
     Each column carries a bound on its coefficients, M_x + 2 M_y after a
     crossing; a monomial factor changes no coefficient, so the bounds
-    ignore it.  Before a bound would reach 2^(W-1), the crossing's columns
-    are decoded to their true maxima; if those still reach it, every entry
-    is repacked at about twice the bits needed.  Each entry becomes a
-    LaurentPoly once, at the end, when its column's factor is applied.
+    ignore it.  Before a bound would reach 2^(W-1), the crossing's two
+    columns are re-bounded: a slice whose slots all lie in
+    [-2^(W/2), 2^(W/2)) by the range test (_fits_half) is only trimmed, and
+    the others are decoded to their true maxima.  If the decoded maxima
+    still reach 2^(W-1), every slice is repacked at about twice the bits
+    needed.  Each entry becomes a LaurentPoly once, at the end, when its
+    column's factor is applied.
     """
     return rho_decode(rho_walk(rho_start(w.n), w))
 

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
 
+from helpers import random_pure_word, random_word
 from mnmap import kernel, maps, reps
 from mnmap.cli import main
 from mnmap.laurent import MAX_DIMENSION, PolyMatrix
@@ -133,6 +136,50 @@ class TestHappyPaths:
         second = run(capsys, "mn", "--n", "5", "--k", "6", "--d", "2",
                      "s1^2 s2^2")
         assert first == second
+
+
+class TestLongWordPins:
+    """sha256 of the stdout of long-word commands, in text and json, pinned
+    before rho_word's walk kept each column as one dict: the matrices stay
+    byte-identical across changes to the walk."""
+
+    BURAU = random_word(random.Random(8400), classical(8), 400)
+    MN = random_pure_word(random.Random(6503), classical(6), 40)
+    RHO = random_word(random.Random(5300), vcb(5), 300)
+    PINS = {
+        ("burau", "text"): "9143b95a5608f34d1e77b0dcbe839ceb"
+                           "20f493478e6e42960882584999a1d6b1",
+        ("burau", "json"): "9000222a9a5193dd80fa3e0fc5057f15"
+                           "b0b9babd010af286cf028485555e82ce",
+        ("mn", "text"): "227984e8f64566839563c599c0d0480a"
+                        "1e1c0ab4cc9239ed4c735737f3eb7635",
+        ("mn", "json"): "a739f7a202a90cfec6884f41435751f2"
+                        "ee8d635bd4dbd781214940459bb77b02",
+        ("rho", "text"): "ba43057a980ccba7a34445604005c331"
+                         "81ae07f155a1d06ec111791dd0de6156",
+        ("rho", "json"): "a7d80986d8920adf1749e7b10eacc004"
+                         "2294015c5a55444f4db22cc833a5140f",
+    }
+
+    def test_words(self):
+        assert (len(self.BURAU), len(self.MN), len(self.RHO)) == (400, 96,
+                                                                  300)
+        # k = 5 on 6 strands: sigma_4 and sigma_5 are the distinguished
+        # letters, and d = 3 winds each of their zeta images
+        assert {letter.index for letter in self.MN} == {1, 2, 3, 4, 5}
+        assert {letter.kind for letter in self.RHO} == {"s", "t", "z"}
+
+    @pytest.mark.parametrize("command, fmt", sorted(PINS))
+    def test_stdout_digest(self, capsys, command, fmt):
+        argv = {"burau": ["burau", "--n", "8", str(self.BURAU)],
+                "mn": ["mn", "--n", "5", "--k", "5", "--d", "3",
+                       str(self.MN)],
+                "rho": ["rho", "--n", "5", "--flavor", "vcb",
+                        str(self.RHO)]}[command]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.PINS[command, fmt]
 
 
 class TestErrors:

@@ -398,6 +398,74 @@ class TestColumnFactor:
         assert any(a for a, _ in factors) and any(b for _, b in factors)
 
 
+def wound_word(rng: random.Random, n: int, length: int, wind: bool = True
+               ) -> Word:
+    """A vcb word on n strands of blocks: zeta wound at d = 3, that is
+    zeta (tau_1 .. tau_{n-1} zeta)^2, or its inverse; runs of one tau_i;
+    single sigma_i^+-1.  Without wind there is no zeta and every index is
+    below n - 1, so the last column is never touched."""
+    top = n - 1 if wind else n - 2
+    wound = [zeta()] + ([tau(i) for i in range(1, n)] + [zeta()]) * 2
+    letters: list[Letter] = []
+    while len(letters) < length:
+        r = rng.random()
+        if wind and r < 0.3:
+            letters += (wound if rng.random() < 0.6 else
+                        [letter.inverse() for letter in reversed(wound)])
+        elif r < 0.6:
+            letters += ([tau(rng.randint(1, top), rng.choice((1, -1)))]
+                        * rng.randint(1, 3))
+        else:
+            letters.append(sigma(rng.randint(1, top), rng.choice((1, -1))))
+    return Word(vcb(n), tuple(letters[:length]))
+
+
+class TestColumnKeys:
+    """Each walk column is one dict keyed by s n + row.  Wound zeta and runs
+    of tau spread a column's powers of s past -n and n, where a key of one
+    row and power would alias another's under a narrower encoding."""
+
+    @staticmethod
+    def words() -> list[Word]:
+        rng = random.Random(3)
+        return [wound_word(rng, n, 160) for n in (2, 3, 4, 5)
+                for _ in range(3)]
+
+    @staticmethod
+    def s_powers(state) -> list[int]:
+        n = len(state[1])
+        return [key // n for col in state[1] for key in col]
+
+    @pytest.mark.parametrize("start_width", [64, 8])
+    def test_matches_reference_and_letter_product(self, monkeypatch,
+                                                  start_width):
+        monkeypatch.setattr(reps, "_START_WIDTH", start_width)
+        spread = 0
+        for w in self.words():
+            powers = self.s_powers(reps.rho_walk(reps.rho_start(w.n), w))
+            spread += min(powers) < -w.n and max(powers) > w.n
+            assert rho_word(w) == reference_rho_word(w) == letter_product(w)
+        assert spread > len(self.words()) // 2
+
+    def test_identity_decided_like_decoded_matrix(self):
+        decisions = []
+        for w in self.words():
+            for v in (w, w * w.inverse(), w.inverse() * w):
+                state = reps.rho_walk(reps.rho_start(v.n), v)
+                decisions.append(reps.rho_is_identity(state))
+                assert decisions[-1] is reps.rho_decode(state).is_identity()
+        assert 0 < sum(decisions) < len(decisions)
+
+    def test_untouched_diagonal_entry_is_the_shared_one(self):
+        for seed in range(3):
+            w = wound_word(random.Random(seed), 5, 300, wind=False)
+            powers = self.s_powers(reps.rho_walk(reps.rho_start(5), w))
+            assert min(powers) < -5 and max(powers) > 5
+            image = rho_word(w)
+            assert image == reference_rho_word(w)
+            assert image[4, 4] is ONE
+
+
 class TestPackedRows:
     """rho_word's packed slots on words of 1,000 letters, whose
     coefficients outgrow a machine word."""
@@ -429,6 +497,136 @@ class TestPackedRows:
                                           for _ in range(50)] + [-1]):
             assert laurent._unpack(laurent._pack(coeffs, width),
                                    width) == coeffs
+
+
+def range_rows(width: int) -> list[list[int]]:
+    """Coefficient rows for the range test at W-bit slots, h = 2^(W/2):
+    single slots and a slot at each edge of [-h, h) at the bottom, in the
+    middle (above zero slots) and on top, negative tops, and rows of 300+
+    slots, in range throughout or with one slot just out of it."""
+    h, top = 1 << (width >> 1), (1 << (width - 1)) - 1
+    rng = random.Random(width)
+    edges = [-h, h - 1, h, -h - 1]
+    rows = [[c] for c in edges + [1, -1, h - 2, -h + 1, top, -top]]
+    rows += [[c, 5, -(h >> 1)] for c in edges]
+    rows += [[0, 0, c, 3] for c in edges]
+    rows += [[h - 1, -h, 0, c] for c in edges + [-1, -top]]
+    body = [rng.randint(-h, h - 1) for _ in range(320)]
+    rows += [body + [-1], [0] * 40 + body]
+    for c in edges:
+        row = list(body)
+        row[rng.randrange(len(row))] = c
+        rows.append(row)
+    return rows
+
+
+class TestRangeTest:
+    """The walk's re-bound: a packed slice passes the range test exactly
+    when _unpack's slots all lie in [-2^(W/2), 2^(W/2)), and only slices
+    that fail it are decoded."""
+
+    @pytest.mark.parametrize("width", [8, 16, 64, 72, 128])
+    def test_matches_unpacked_maxima(self, width):
+        h = 1 << (width >> 1)
+        outcomes = set()
+        for coeffs in range_rows(width):
+            v = laurent._pack(coeffs, width)
+            slots = laurent._unpack(v, width)
+            assert slots == coeffs
+            fits = all(-h <= c < h for c in slots)
+            assert reps._fits_half(v, width) is fits, coeffs
+            outcomes.add(fits)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("width", [8, 16, 64, 72, 128])
+    def test_rebound_trims_and_bounds(self, width):
+        # a passing slice is trimmed at its lowest set bit and bounded by
+        # 2^(W/2); once any slice fails, the bound is the true maximum
+        h = 1 << (width >> 1)
+        rows = range_rows(width)
+        for coeffs in rows:
+            for zeros in (0, 3):
+                full = [0] * zeros + coeffs
+                col = {7: (-2, laurent._pack(full, width))}
+                out, bound = reps._repack(col, width, width)
+                z = next(i for i, c in enumerate(full) if c)
+                ((key, (lo, v)),) = out.items()
+                assert (key, lo) == (7, z - 2)
+                assert laurent._unpack(v, width) == full[z:]
+                fits = all(-h <= c < h for c in coeffs)
+                assert bound == (h if fits else max(map(abs, coeffs)))
+        fitting = laurent._pack(rows[0], width)
+        for coeffs in rows:
+            col = {0: (0, fitting), 3: (1, laurent._pack(coeffs, width))}
+            _, bound = reps._repack(col, width, width)
+            assert bound == max(h, *map(abs, coeffs))
+
+    def test_rebound_decodes_only_slices_that_fail(self, monkeypatch):
+        # a 400-letter Burau word on 8 strands re-bounds 30 columns at
+        # W = 64 and never widens; every slice decoded on the way has a slot
+        # out of [-2^(W/2), 2^(W/2))
+        rebounds, tested, decoded, widening = [], [], [], []
+        repack, unpack, fits = reps._repack, reps._unpack, reps._fits_half
+
+        def spy_repack(col, width, new_width):
+            widening.append(new_width != width)
+            rebounds.append(width)
+            try:
+                return repack(col, width, new_width)
+            finally:
+                widening.pop()
+
+        def spy_unpack(v, width):
+            slots = unpack(v, width)
+            if not any(widening):
+                decoded.append((width, slots))
+            return slots
+
+        def spy_fits(v, width):
+            tested.append(fits(v, width))
+            return tested[-1]
+
+        monkeypatch.setattr(reps, "_repack", spy_repack)
+        monkeypatch.setattr(reps, "_unpack", spy_unpack)
+        monkeypatch.setattr(reps, "_fits_half", spy_fits)
+        w = random_word(random.Random(8400), classical(8), 400)
+        assert rho_word(w) == reference_rho_word(w)
+        assert len(rebounds) == 30 and set(rebounds) == {64}
+        assert sum(tested) > len(decoded) > 0
+        for width, slots in decoded:
+            h = 1 << (width >> 1)
+            assert not all(-h <= c < h for c in slots), slots
+
+    def test_widens_only_on_decoded_maxima(self, monkeypatch):
+        # from 8-bit slots the walk widens often, and a column bounded by
+        # the range test alone is decoded before it can cause a widening:
+        # the spy reads the crossing's columns from rho_walk's frame at the
+        # first column a widening repacks
+        widenings, largest = [], []
+
+        def spy_repack(col, width, new_width):
+            walk = sys._getframe(1).f_locals
+            if new_width != width and walk["j"] == 0:
+                bounds, cols = walk["bounds"], walk["cols"]
+                maxima = [_largest(cols[j], width)
+                          for j in (walk["x"], walk["y"])]
+                assert [bounds[walk["x"]], bounds[walk["y"]]] == maxima
+                assert maxima[0] + 2 * maxima[1] >= 1 << (width - 1)
+                widenings.append(width)
+            return repack(col, width, new_width)
+
+        def spy_largest(col, width):
+            largest.append(_largest(col, width))
+            return largest[-1]
+
+        repack, _largest = reps._repack, reps._largest
+        monkeypatch.setattr(reps, "_START_WIDTH", 8)
+        monkeypatch.setattr(reps, "_repack", spy_repack)
+        monkeypatch.setattr(reps, "_largest", spy_largest)
+        for w in TestRhoWordWalk.WORDS:
+            assert rho_word(w) == reference_rho_word(w), str(w)
+        assert len(widenings) > 10
+        assert any(m < 1 << 4 for m in largest)
 
 
 # The largest magnitude a 64-bit slot holds, and slots that reach it, are 0
