@@ -20,6 +20,9 @@ cancellation_defect exhibits the discrepancy for inspection.
 """
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 from .laurent import PolyMatrix, check_dimension
 from .reps import rho_word
 from .words import (
@@ -85,8 +88,11 @@ def pk_letter_image(index: int, sign: int, k: int, n: int
 
 def project_pk(w: Word, k: int) -> Word:
     """Letter-wise projection of a pure classical word on n+1 strands to a
-    cylindrical word on n strands, distinguished strand k.  Support and the
-    result's MAX_WORD_LETTERS cap are checked first, then purity."""
+    cylindrical word on n strands, distinguished strand k.  Support (the
+    first unsupported position) and the result's MAX_WORD_LETTERS cap are
+    checked first, then purity.  The work is per distinct letter: one
+    support check and one image each, and the result is the images'
+    concatenation in word order."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"project_pk expects a classical word, got {w.flavor!r}")
     if w.n < 2:
@@ -94,25 +100,30 @@ def project_pk(w: Word, k: int) -> Word:
     n = w.n - 1
     if not 1 <= k <= w.n:
         raise ValueError(f"k must be in 1..{w.n}, got {k}")
-    size = 0
-    for position, letter in enumerate(w):
+    counts = Counter(w.letters)
+    unsupported = [letter for letter in counts
+                   if not pk_supports(letter.index, k, n)]
+    if unsupported:
+        position = min(map(w.letters.index, unsupported))
+        letter = w.letters[position]
         i = letter.index
-        if not pk_supports(i, k, n):
-            raise UnsupportedLetterError(
-                f"letter {letter} at position {position}: sigma_{i} maps to "
-                f"index {k - i - 1}, outside 1..{n - 1}",
-                position=position, letter=letter)
-        # sigma_{k-1}^-1 and sigma_k become delta_c^{+-1}, n-1 letters each
-        size += n - 1 if (i, letter.sign) in ((k - 1, -1), (k, 1)) else 1
+        raise UnsupportedLetterError(
+            f"letter {letter} at position {position}: sigma_{i} maps to "
+            f"index {k - i - 1}, outside 1..{n - 1}",
+            position=position, letter=letter)
+    # sigma_{k-1}^-1 and sigma_k become delta_c^{+-1}, n-1 letters each
+    size = sum(count * (n - 1 if (letter.index, letter.sign) in
+                        ((k - 1, -1), (k, 1)) else 1)
+               for letter, count in counts.items())
     if size > MAX_WORD_LETTERS:
         raise ValueError(f"projected word would have {size} letters, over "
                          f"the cap of {MAX_WORD_LETTERS}")
     if not w.is_pure():
         raise PurityError("project_pk is defined on pure braids only")
-    letters: list[Letter] = []
-    for letter in w:
-        letters.extend(pk_letter_image(letter.index, letter.sign, k, n))
-    return Word._trusted(cylindrical(n), tuple(letters))
+    images = {letter: pk_letter_image(letter.index, letter.sign, k, n)
+              for letter in counts}
+    return Word._trusted(cylindrical(n), tuple(
+        chain.from_iterable(map(images.__getitem__, w.letters))))
 
 
 def _zeta_image_letters(n: int, d: int) -> tuple[Letter, ...]:

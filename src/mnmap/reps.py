@@ -84,21 +84,29 @@ _START_WIDTH = 64
 Column = dict[int, tuple[int, int]]
 
 
-def _fits_half(v: int, width: int) -> bool:
-    """The range test: whether every signed width-bit slot of v lies in
-    [-2^(W/2), 2^(W/2)), read off v without decoding it.  Adding B, 2^(W/2)
-    in each slot, puts an in-range slot in [0, 2^(W/2+1)) without a carry,
-    so the test is (v + B) & H == 0 for H, bits W/2+1 .. W-1 of each slot.
-    The slots below the lowest one out of range carry nothing into it, so
-    it sets a bit of H: a high bit of its own if too large, bit W-1 by the
-    borrow if too small.  B and H have v's slot count, sized as _unpack
-    sizes its bias; v must decode (every slot below 2^(W-1) in
-    magnitude)."""
+def _half_masks(width: int, slots: int) -> tuple[int, int]:
+    """The range test's masks for slices of up to slots W-bit slots: B,
+    2^(W/2) in each slot, and H, bits W/2+1 .. W-1 of each slot."""
     size, half = width >> 3, 1 << (width >> 1)
-    slots = v.bit_length() // width + 1
     bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
     high = int.from_bytes(((1 << width) - (half << 1)).to_bytes(
         size, "little") * slots, "little")
+    return bias, high
+
+
+def _fits_half(v: int, width: int, masks: tuple[int, int] | None = None
+               ) -> bool:
+    """The range test: whether every signed width-bit slot of v lies in
+    [-2^(W/2), 2^(W/2)), read off v without decoding it.  Adding B puts an
+    in-range slot in [0, 2^(W/2+1)) without a carry, so the test is
+    (v + B) & H == 0 (see _half_masks).  The slots below the lowest one out
+    of range carry nothing into it, so it sets a bit of H: a high bit of
+    its own if too large, bit W-1 by the borrow if too small.  Slots above
+    v's top are 0 and stay in range, so masks of any slot count from v's
+    own (as _unpack sizes its bias) upward give the same answer; without
+    masks they are sized to v.  v must decode (every slot below 2^(W-1) in
+    magnitude)."""
+    bias, high = masks or _half_masks(width, v.bit_length() // width + 1)
     return not (v + bias) & high
 
 
@@ -106,14 +114,18 @@ def _repack(col: Column, width: int, new_width: int
             ) -> tuple[Column, int]:
     """col's slices at new_width with their zero low slots trimmed, and a
     bound on its coefficients.  At the same width a slice that passes the
-    range test (_fits_half) is trimmed at v's lowest set bit, not decoded,
-    and bounded by 2^(W/2); a slice fails only when a slot reaches 2^(W/2)
-    in magnitude, so once any slice is decoded the bound is the column's
+    range test (_fits_half, with one pair of masks sized to the column's
+    longest slice) is trimmed at v's lowest set bit, not decoded, and
+    bounded by 2^(W/2); a slice fails only when a slot reaches 2^(W/2) in
+    magnitude, so once any slice is decoded the bound is the column's
     largest coefficient magnitude."""
     same, half = new_width == width, 1 << (width >> 1)
+    if same:
+        longest = max((v.bit_length() for _, v in col.values()), default=0)
+        masks = _half_masks(width, longest // width + 1)
     bound, out = 0, {}
     for key, (lo, v) in col.items():
-        if same and _fits_half(v, width):
+        if same and _fits_half(v, width, masks):
             z = ((v & -v).bit_length() - 1) // width
             bound = max(bound, half)
             out[key] = (lo + z, v >> width * z)
@@ -263,8 +275,13 @@ def rho_is_identity(state: RhoState) -> bool:
 
 def rho_word(w: Word) -> PolyMatrix:
     """Left-to-right product of the letter images; dimension = strand count.
-    It is rho_decode(rho_walk(rho_start(n), w)), so a caller can also walk
-    a word in pieces and resume from any piece's state.
+    It is rho_decode(rho_walk(rho_start(n), w.free_reduce())): each letter's
+    image times its inverse's is exactly the identity, so cancelling the
+    pairs leaves the product unchanged and saves their crossings (a
+    projected sigma_{k-1}^-1 sigma_k is delta_c delta_c^-1, 2(n-1) crossings
+    that cancel).  rho_walk walks exactly the letters it is given, so a
+    caller can also walk a word in pieces and resume from any piece's
+    state.
 
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
@@ -291,7 +308,7 @@ def rho_word(w: Word) -> PolyMatrix:
     needed.  Each entry becomes a LaurentPoly once, at the end, when its
     column's factor is applied.
     """
-    return rho_decode(rho_walk(rho_start(w.n), w))
+    return rho_decode(rho_walk(rho_start(w.n), w.free_reduce()))
 
 
 # Evaluation at a point is a ring homomorphism Z[t^+-1, s^+-1] -> Z/p, so a

@@ -228,13 +228,19 @@ class Word:
 
     def free_reduce(self) -> Word:
         """Delete adjacent pairs g g^-1 (same kind and index, opposite sign)
-        until none remain.  The result is independent of deletion order."""
+        until none remain.  The result is independent of deletion order.
+        One pass over a stack that compares the top's (kind, index, sign)
+        fields with the letter's."""
         stack: list[Letter] = []
+        push, pop = stack.append, stack.pop
         for letter in self.letters:
-            if stack and stack[-1] == letter.inverse():
-                stack.pop()
-            else:
-                stack.append(letter)
+            if stack:
+                kind, index, sign = stack[-1]
+                if (sign != letter[2] and index == letter[1]
+                        and kind == letter[0]):
+                    pop()
+                    continue
+            push(letter)
         return Word._trusted(self.flavor, tuple(stack))
 
     def permutation(self) -> Permutation:

@@ -182,6 +182,47 @@ class TestLongWordPins:
         assert digest == self.PINS[command, fmt]
 
 
+class TestWordCommandPins:
+    """sha256 of the stdout of pk, fd and reduce on the pipeline's long
+    words, in text and json, pinned before rho_word walked freely reduced
+    words: the word commands print their words as they were, pk and fd
+    unreduced."""
+
+    MN = TestLongWordPins.MN
+    PK = maps.project_pk(MN, 5)
+    FD = maps.stabilize_fd(PK, 3)
+    PINS = {
+        ("pk", "text"): "4ed33bd8d332172d1381bfb4ff2c0d8b"
+                        "c1840c2a78b74a59bfcef4cecf2c6334",
+        ("pk", "json"): "f475cf6dc3987c40bddf3bfd71ca3e62"
+                        "0ea7fec3ee5d23dd53030ef3b04490c6",
+        ("fd", "text"): "38a27e693ab6fdd5b7239ab6660e8ad2"
+                        "34c313918fa7b0217aa2a7814390ff5c",
+        ("fd", "json"): "5e8fea01ab357396d9b69f6041d55a87"
+                        "2ed5a12c8e01e4a68bf934511e447f18",
+        ("reduce", "text"): "20ebaddce3208ac14b494e81fd7d0393"
+                            "70061ca22c9ab83cdcee9300007f04eb",
+        ("reduce", "json"): "f872c8b84ccc5c33c556968bbd4dc7b5"
+                            "96b2d02cc613d28a2cae026dced3d357",
+    }
+
+    def test_words(self):
+        # the projection and the winding leave pairs for reduce to cancel
+        assert (len(self.PK), len(self.FD), len(self.FD.free_reduce())) \
+            == (153, 343, 311)
+
+    @pytest.mark.parametrize("command, fmt", sorted(PINS))
+    def test_stdout_digest(self, capsys, command, fmt):
+        argv = {"pk": ["pk", "--n", "5", "--k", "5", str(self.MN)],
+                "fd": ["fd", "--n", "5", "--d", "3", str(self.PK)],
+                "reduce": ["reduce", "--n", "5", "--flavor", "vcb",
+                           str(self.FD)]}[command]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.PINS[command, fmt]
+
+
 class TestErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "nonsense")

@@ -80,6 +80,33 @@ class TestProject:
         assert exc.value.position == 2 and exc.value.letter == sigma(2)
         assert "position 2" in str(exc.value)
 
+    def test_first_position_of_a_repeated_unsupported_letter(self):
+        # support is checked once per distinct letter; the error still names
+        # the first position of the first unsupported letter in the word
+        w = parse_word("s1 s1 s3^-1 s2 s2 s3^-1 s3 s3 s2", classical(4))
+        with pytest.raises(UnsupportedLetterError) as exc:
+            project_pk(w, 1)
+        assert exc.value.position == 2 and exc.value.letter == sigma(3, -1)
+        assert "position 2" in str(exc.value)
+        w = parse_word("s1 s1 s2 s3^-1 s3 s2", classical(4))
+        with pytest.raises(UnsupportedLetterError) as exc:
+            project_pk(w, 1)
+        assert exc.value.position == 2 and exc.value.letter == sigma(2)
+
+    def test_images_built_once_per_distinct_letter(self, monkeypatch):
+        built = []
+        image = maps.pk_letter_image
+
+        def spy(index, sign, k, n):
+            built.append((index, sign))
+            return image(index, sign, k, n)
+
+        monkeypatch.setattr(maps, "pk_letter_image", spy)
+        w = parse_word("s3^-1 s3 s1^-1 s1 s3^-1 s3 s1^-1 s1", classical(4))
+        assert project_pk(w, 4) == parse_word(
+            "s1 s2 z^-1 s2^-1 s2 s1 s2 z^-1 s2^-1 s2", cylindrical(3))
+        assert sorted(built) == [(1, -1), (1, 1), (3, -1), (3, 1)]
+
     def test_size_cap_checked_before_building(self, monkeypatch):
         # at n = 3, k = 4: sigma_3^-1 -> delta_c (2 letters), sigma_3 ->
         # zeta^-1, sigma_1^{+-1} -> sigma_2^{+-1}: 5 letters in all

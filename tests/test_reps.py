@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GROUP_KINDS,
     cancelling_word,
     random_letter,
     random_word,
@@ -320,6 +321,84 @@ class TestResumableWalk:
         assert rho_word(w).is_identity() is identity
 
 
+def planted_word(rng: random.Random, flavor, length: int) -> Word:
+    """A word of about length letters with cancelling pairs planted between
+    random letters: g g^-1 for sigma, tau and zeta (as the flavor admits),
+    nested u u^-1, and the cascades delta_c delta_c^-1 and, in vcb,
+    delta_v delta_v^-1, which free reduction removes from the middle out."""
+    n, kinds = flavor.n, GROUP_KINDS[flavor.group]
+    letters: list[Letter] = []
+    while len(letters) < length:
+        r = rng.random()
+        if r < 0.3:
+            letters.append(random_letter(rng, flavor))
+            continue
+        if r < 0.55:
+            u = [random_letter(rng, flavor)]
+        elif r < 0.7:
+            u = list(random_word(rng, flavor, rng.randint(2, 5)))
+        elif r < 0.85 or TAU not in kinds:
+            u = [sigma(i) for i in range(1, n)]  # delta_c
+        else:
+            u = [tau(i) for i in range(1, n)]  # delta_v
+        if rng.random() < 0.5:
+            u = [letter.inverse() for letter in reversed(u)]
+        letters += u + [letter.inverse() for letter in reversed(u)]
+    return Word(flavor, tuple(letters))
+
+
+class TestReducedWalk:
+    """rho_word walks w.free_reduce(): each generator image times its
+    inverse's is exactly the identity, so the cancelled pairs change no
+    matrix, and rho_walk is handed only the letters that are left."""
+
+    @staticmethod
+    def words() -> list[Word]:
+        rng = random.Random(4404)
+        return [planted_word(rng, flavor(rng.randint(2, 6)), 120)
+                for flavor in (classical, cylindrical, vcb) * 8]
+
+    def test_planted_pairs_use_every_kind_and_cancel(self):
+        words = self.words()
+        planted = {letter.kind for w in words for letter, after in
+                   zip(w, w.letters[1:]) if after == letter.inverse()}
+        assert planted == {SIGMA, TAU, ZETA}
+        for w in words:
+            assert len(w.free_reduce()) < len(w) // 2, str(w)
+
+    @pytest.mark.parametrize("start_width", [64, 8])
+    def test_matches_reference_walk(self, monkeypatch, start_width):
+        monkeypatch.setattr(reps, "_START_WIDTH", start_width)
+        for w in self.words():
+            image = rho_word(w)
+            assert image == reference_rho_word(w), str(w)
+            assert image == reference_rho_word(w.free_reduce()), str(w)
+
+    def test_delta_cascade_is_the_identity(self):
+        for n in range(2, 7):
+            delta = Word(vcb(n), tuple(sigma(i) for i in range(1, n)))
+            virtual = Word(vcb(n), tuple(tau(i) for i in range(1, n)))
+            for w in (delta * delta.inverse(), delta.inverse() * delta,
+                      virtual * delta * delta.inverse() * virtual.inverse()):
+                assert w.free_reduce().letters == ()
+                assert rho_word(w) == reference_rho_word(w) \
+                    == PolyMatrix.identity(n)
+
+    def test_walk_receives_the_reduced_letters(self, monkeypatch):
+        walked = []
+        walk = reps.rho_walk
+
+        def spy(state, letters):
+            walked.append(tuple(letters))
+            return walk(state, walked[-1])
+
+        monkeypatch.setattr(reps, "rho_walk", spy)
+        for w in self.words():
+            rho_word(w)
+            assert walked.pop() == w.free_reduce().letters, str(w)
+            assert not walked
+
+
 def letter_product(w: Word) -> PolyMatrix:
     """The generic product of w's rho_letter images."""
     product = PolyMatrix.identity(w.n)
@@ -539,6 +618,39 @@ class TestRangeTest:
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("width", [8, 16, 64, 72, 128])
+    def test_column_masks_match_per_slice_masks(self, width):
+        # _repack builds one pair of masks per column, sized to its longest
+        # slice; on slices of mixed length and sign they answer as masks
+        # sized to each slice do
+        slices = [laurent._pack(coeffs, width) for coeffs in range_rows(width)]
+        assert {v < 0 for v in slices} == {True, False}
+        assert len({v.bit_length() // width for v in slices}) > 3
+        longest = max(v.bit_length() for v in slices) // width + 1
+        per_slice = [reps._fits_half(v, width) for v in slices]
+        assert set(per_slice) == {True, False}
+        for extra in (0, 1, 7):
+            masks = reps._half_masks(width, longest + extra)
+            assert [reps._fits_half(v, width, masks)
+                    for v in slices] == per_slice
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([8, 16, 64]), st.data())
+    def test_column_masks_property(self, width, data):
+        h, top = 1 << (width >> 1), (1 << (width - 1)) - 1
+        slot = st.one_of(st.sampled_from([0, 1, -1, h - 1, -h, h, -h - 1,
+                                          top, -top]),
+                         st.integers(-top, top))
+        rows = data.draw(st.lists(st.lists(slot, min_size=1, max_size=12),
+                                  min_size=1, max_size=6))
+        slices = [laurent._pack(coeffs, width) for coeffs in rows]
+        longest = max(v.bit_length() for v in slices) // width + 1
+        masks = reps._half_masks(width, longest)
+        for coeffs, v in zip(rows, slices):
+            fits = all(-h <= c < h for c in coeffs)
+            assert reps._fits_half(v, width, masks) is fits, coeffs
+            assert reps._fits_half(v, width) is fits, coeffs
+
+    @pytest.mark.parametrize("width", [8, 16, 64, 72, 128])
     def test_rebound_trims_and_bounds(self, width):
         # a passing slice is trimmed at its lowest set bit and bounded by
         # 2^(W/2); once any slice fails, the bound is the true maximum
@@ -563,18 +675,26 @@ class TestRangeTest:
 
     def test_rebound_decodes_only_slices_that_fail(self, monkeypatch):
         # a 400-letter Burau word on 8 strands re-bounds 30 columns at
-        # W = 64 and never widens; every slice decoded on the way has a slot
-        # out of [-2^(W/2), 2^(W/2))
-        rebounds, tested, decoded, widening = [], [], [], []
-        repack, unpack, fits = reps._repack, reps._unpack, reps._fits_half
+        # W = 64 and never widens; each re-bound builds one pair of masks,
+        # sized to its column's longest slice, and tests every slice with
+        # it; every slice decoded on the way has a slot out of
+        # [-2^(W/2), 2^(W/2))
+        rebounds, built, tested, decoded, widening = [], [], [], [], []
+        repack, unpack = reps._repack, reps._unpack
+        half_masks, fits = reps._half_masks, reps._fits_half
 
         def spy_repack(col, width, new_width):
             widening.append(new_width != width)
-            rebounds.append(width)
+            rebounds.append((width, max(v.bit_length() for _, v in
+                                        col.values()) // width + 1))
             try:
                 return repack(col, width, new_width)
             finally:
                 widening.pop()
+
+        def spy_half_masks(width, slots):
+            built.append((width, slots))
+            return half_masks(width, slots)
 
         def spy_unpack(v, width):
             slots = unpack(v, width)
@@ -582,16 +702,19 @@ class TestRangeTest:
                 decoded.append((width, slots))
             return slots
 
-        def spy_fits(v, width):
-            tested.append(fits(v, width))
+        def spy_fits(v, width, masks):
+            assert masks == half_masks(*built[-1])
+            tested.append(fits(v, width, masks))
             return tested[-1]
 
         monkeypatch.setattr(reps, "_repack", spy_repack)
+        monkeypatch.setattr(reps, "_half_masks", spy_half_masks)
         monkeypatch.setattr(reps, "_unpack", spy_unpack)
         monkeypatch.setattr(reps, "_fits_half", spy_fits)
         w = random_word(random.Random(8400), classical(8), 400)
         assert rho_word(w) == reference_rho_word(w)
-        assert len(rebounds) == 30 and set(rebounds) == {64}
+        assert len(rebounds) == 30 and {W for W, _ in rebounds} == {64}
+        assert built == rebounds
         assert sum(tested) > len(decoded) > 0
         for width, slots in decoded:
             h = 1 << (width >> 1)

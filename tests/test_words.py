@@ -130,6 +130,25 @@ class TestWordOps:
         w = parse_word("s1 s2", classical(3))
         assert w.free_reduce() == w
 
+    def test_free_reduce_compares_kind_index_and_sign(self):
+        w = parse_word("s1 t1^-1 t2 t1 s2^-1 s1^-1 z z^-1 t2^-1 z^-1 z",
+                       vcb(3))
+        assert w.free_reduce() == parse_word(
+            "s1 t1^-1 t2 t1 s2^-1 s1^-1 t2^-1", vcb(3))
+        w = parse_word("z s1 s2 t2 t2^-1 s2^-1 s1^-1 z^-1 t1", vcb(3))
+        assert w.free_reduce() == parse_word("t1", vcb(3))
+
+    @given(words_st(min_n=2, max_n=3, max_len=40))
+    def test_free_reduce_matches_inverse_letter_reduction(self, w):
+        # reference: a stack reduction that builds each letter's inverse
+        stack = []
+        for letter in w:
+            if stack and stack[-1] == letter.inverse():
+                stack.pop()
+            else:
+                stack.append(letter)
+        assert w.free_reduce() == Word(w.flavor, tuple(stack))
+
     @given(words_st())
     def test_free_reduce_idempotent(self, w):
         assert w.free_reduce().free_reduce() == w.free_reduce()
