@@ -36,6 +36,7 @@ from .words import (
     commutator,
     cylindrical,
     parse_word,
+    reduce_onto,
     sigma,
 )
 
@@ -150,10 +151,13 @@ def verify_theorem2(m: int, k: int) -> VerificationReport:
 class SearchResult(namedtuple("SearchResult", "word verified freely_trivial")):
     """A freely reduced word whose composite image is the identity matrix,
     as search_kernel reports it.  freely_trivial is always False: the
-    search enumerates freely reduced words only.
+    search enumerates freely reduced words only.  That image was decided
+    on the free reduction of the word's concatenated stabilized letter
+    images: empty, or walked by rho_word's column operations to the
+    identity.
 
     verified records a second evaluation of that image by an independent
-    matrix computation instead of rho_word's column operations: for the
+    matrix computation instead of that reduction and walk: for the
     word split as uv with |u| = |v|, whether M(u) equals M(v^-1).  M(u) is
     the generic product of u's letters' image matrices, each built once
     per search as the generic product of the rho_letter matrices of that
@@ -200,6 +204,15 @@ def _inverse_image(image: tuple[Letter, ...]) -> tuple[Letter, ...]:
     every sign flipped.  Exact, since each generator image times its
     inverse image is the identity."""
     return tuple(letter.inverse() for letter in reversed(image))
+
+
+def _is_hit(image: tuple[Letter, ...], start: reps.RhoState) -> bool:
+    """Whether a candidate is a hit, decided on image, the free reduction
+    of its concatenated stabilized letter images: an empty image is a hit
+    without a walk, since each generator image times its inverse image is
+    exactly the identity; any other is walked from start, the identity's
+    state, and decided by reps.rho_is_identity on the packed state."""
+    return not image or reps.rho_is_identity(reps.rho_walk(start, image))
 
 
 def _halves(steps: list[tuple[Letter, ...]], swap_at: list[int], depth: int,
@@ -282,15 +295,19 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     The stored prefixes are freed once the candidates are collected.  The
     candidates are sorted by rank sequence, which puts a prefix before its
     extensions: the depth-first, lexicographic order.  The exact result
-    alone decides a hit.  walk holds the rho walk states (reps.rho_walk)
-    of the last candidate's prefixes, cut back to the common prefix of
-    consecutive candidates, so each candidate walks only its letters past
-    that prefix, and reps.rho_is_identity decides on the packed state.
-    Each hit w = uv is re-verified (see SearchResult) with the products of
-    its halves shared: exact holds M of the last candidate's prefixes, cut
-    back the same way and extended only as far as a hit's u, and backward
-    holds M(v^-1) for each v and its suffixes, cleared whenever the first
-    rank changes.  So each distinct prefix of u, and per first rank each
+    alone decides a hit, under the rule rho_word uses: a candidate's image
+    is rho of the free reduction of its concatenated stabilized letter
+    images.  reduced holds that free reduction for each of the last
+    candidate's prefixes, cut back to the common prefix of consecutive
+    candidates, so each candidate reduces (words.reduce_onto) only its
+    letters' images past that prefix.  A candidate whose reduction is
+    empty is a hit without a walk; any other is walked from the
+    identity's state, one shared reps.rho_start, and reps.rho_is_identity
+    decides on the packed state (_is_hit).  Each hit w = uv is re-verified
+    (see SearchResult) with the products of its halves shared: exact
+    holds M of the last candidate's prefixes, cut back the same way and
+    extended only as far as a hit's u, and backward holds M(v^-1) for each
+    v and its suffixes, cleared whenever the first rank changes.  So each distinct prefix of u, and per first rank each
     distinct suffix of v, of two or more letters is multiplied once.  A
     stable sort by length then gives the result order, and classical
     words are built for the hits only.
@@ -345,9 +362,11 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     del table
     candidates.sort()
 
-    # walk[i]: the rho walk state of last[:i]; exact[i]: the generic
-    # product for last[:i+1], only ever as far as a hit's first half
-    walk, exact = [reps.rho_start(n)], []
+    # reduced[i]: the free reduction of last[:i]'s concatenated images;
+    # exact[i]: the generic product for last[:i+1], only ever as far as a
+    # hit's first half
+    reduced, exact = [()], []
+    start = reps.rho_start(n)
     last: tuple[int, ...] = ()
     backward: dict[tuple[int, ...], PolyMatrix] = {}  # v -> M(v^-1)
     group = -1  # the first rank of the words whose v are in backward
@@ -357,11 +376,11 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
         common = 0
         while common < len(last) and word[common] == last[common]:
             common += 1
-        del walk[common + 1:], exact[common:]
+        del reduced[common + 1:], exact[common:]
         for q in word[common:]:
-            walk.append(reps.rho_walk(walk[-1], images[q]))
+            reduced.append(reduce_onto(reduced[-1], images[q]))
         last = word
-        if not reps.rho_is_identity(walk[-1]):
+        if not _is_hit(reduced[-1], start):
             continue
         h = len(word) // 2
         for q in word[len(exact):h]:

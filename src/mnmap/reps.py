@@ -279,9 +279,10 @@ def rho_word(w: Word) -> PolyMatrix:
     image times its inverse's is exactly the identity, so cancelling the
     pairs leaves the product unchanged and saves their crossings (a
     projected sigma_{k-1}^-1 sigma_k is delta_c delta_c^-1, 2(n-1) crossings
-    that cancel).  rho_walk walks exactly the letters it is given, so a
-    caller can also walk a word in pieces and resume from any piece's
-    state.
+    that cancel).  The kernel search decides its candidates under the same
+    rule, on free reductions built by words.reduce_onto.  rho_walk walks
+    exactly the letters it is given, so a caller can also walk a word in
+    pieces and resume from any piece's state.
 
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 
 # Letter kinds, named by their token in the word grammar.
 SIGMA = "s"  # classical crossing
@@ -229,19 +230,8 @@ class Word:
     def free_reduce(self) -> Word:
         """Delete adjacent pairs g g^-1 (same kind and index, opposite sign)
         until none remain.  The result is independent of deletion order.
-        One pass over a stack that compares the top's (kind, index, sign)
-        fields with the letter's."""
-        stack: list[Letter] = []
-        push, pop = stack.append, stack.pop
-        for letter in self.letters:
-            if stack:
-                kind, index, sign = stack[-1]
-                if (sign != letter[2] and index == letter[1]
-                        and kind == letter[0]):
-                    pop()
-                    continue
-            push(letter)
-        return Word._trusted(self.flavor, tuple(stack))
+        It is reduce_onto((), self.letters): one pass over a stack."""
+        return Word._trusted(self.flavor, reduce_onto((), self.letters))
 
     def permutation(self) -> Permutation:
         """Product of the letters' strand permutations in word order,
@@ -282,6 +272,27 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.flavor!r}, {str(self)!r})"
+
+
+def reduce_onto(reduced: tuple[Letter, ...], letters: Iterable[Letter]
+                ) -> tuple[Letter, ...]:
+    """The free reduction of reduced followed by letters, where reduced is
+    already freely reduced: one pass over a stack started from reduced,
+    comparing the top's (kind, index, sign) fields with each letter's and
+    popping the top when they differ only in sign.  The only free
+    reduction of the library: Word.free_reduce is reduce_onto((), letters),
+    and the kernel search extends a candidate's reduced prefix with it."""
+    stack = list(reduced)
+    push, pop = stack.append, stack.pop
+    for letter in letters:
+        if stack:
+            kind, index, sign = stack[-1]
+            if (sign != letter[2] and index == letter[1]
+                    and kind == letter[0]):
+                pop()
+                continue
+        push(letter)
+    return tuple(stack)
 
 
 def commutator(a: Word, b: Word) -> Word:

@@ -173,6 +173,35 @@ def exact_evaluations(monkeypatch):
     return evaluated
 
 
+@pytest.fixture
+def decisions(monkeypatch):
+    """The search's decisions at kernel._is_hit, one per candidate: the
+    free reduction of its concatenated stabilized images and the verdict."""
+    decided = []
+    is_hit = kernel._is_hit
+
+    def recording(image, start):
+        verdict = is_hit(image, start)
+        decided.append((image, verdict))
+        return verdict
+
+    monkeypatch.setattr(kernel, "_is_hit", recording)
+    return decided
+
+
+def reduced_image(word, k, n, d):
+    """The free reduction of a classical word's concatenated stabilized
+    letter images, by a stack that builds each letter's inverse."""
+    stack = []
+    for letter in word:
+        for l in kernel._letter_image(letter, k, n, d):
+            if stack and stack[-1] == l.inverse():
+                stack.pop()
+            else:
+                stack.append(l)
+    return tuple(stack)
+
+
 class TestSearch:
     def test_finds_theorem2_witness(self):
         results = search_kernel(n=2, k=1, d=1, max_len=2)
@@ -258,16 +287,52 @@ class TestSearch:
                 hits += len(found)
         assert len(exact_evaluations) > 2 * hits
 
-    def test_screen_lets_no_non_hit_through(self, exact_evaluations):
+    def test_screen_lets_no_non_hit_through(self, decisions,
+                                            exact_evaluations):
+        # each candidate is decided once: by an empty reduced image, or by
+        # a walk whose state rho_is_identity decides
         results = search_kernel(n=3, k=2, d=1, max_len=6)
-        assert len(exact_evaluations) == len(results) == 50
+        empty = sum(not image for image, _ in decisions)
+        assert empty + len(exact_evaluations) == len(decisions) \
+            == len(results) == 50
+        assert (empty, len(exact_evaluations)) == (48, 2)
+        assert all(verdict for _, verdict in decisions)
+        assert all(reps.rho_decode(state).is_identity()
+                   for state in exact_evaluations)
 
-    # (count, hits_digest) of the ordered hit list, recorded from the
-    # depth-first walk that the meet in the middle replaced
+    def test_walks_only_the_reduced_images_of_candidates(self, monkeypatch):
+        # in candidate order (rank sequences sorted), each walk starts from
+        # the identity's state and gets the candidate's reduced image
+        n, k, d = 3, 2, 1
+        walked = []
+        walk = reps.rho_walk
+
+        def spy(state, letters):
+            walked.append((state, tuple(letters)))
+            return walk(state, letters)
+
+        monkeypatch.setattr(reps, "rho_walk", spy)
+        results = search_kernel(n, k, d, 10)
+        alphabet = [l for i in range(1, n + 1) if maps.pk_supports(i, k, n)
+                    for l in (sigma(i), sigma(i, -1))]
+        ordered = sorted((r.word for r in results),
+                         key=lambda w: [alphabet.index(l) for l in w])
+        expected = [image for image in (reduced_image(w, k, n, d)
+                                        for w in ordered) if image]
+        assert [letters for _, letters in walked] == expected
+        assert all(state == reps.rho_start(n) for state, _ in walked)
+        assert (len(walked), sum(len(letters) for _, letters in walked)) \
+            == (92, 584)
+
+    # (count, hits_digest) of the ordered hit list: the first three
+    # recorded from the depth-first walk that the meet in the middle
+    # replaced; (3,3,1,8), the pinned cell with the most walked hits, from
+    # the search that walked every candidate's images unreduced
     @pytest.mark.parametrize("n,k,d,max_len,pin", [
         (3, 2, 1, 10, (1612, "b031b339144e167a")),
         (4, 3, 2, 8, (480, "2beefec29b7d564d")),
-        (4, 3, 2, 10, (4770, "2158eda5a3d8894e"))])
+        (4, 3, 2, 10, (4770, "2158eda5a3d8894e")),
+        (3, 3, 1, 8, (497, "19d1c6690f6dbad7"))])
     def test_longer_searches_keep_their_hits_and_order(self, n, k, d,
                                                        max_len, pin):
         results = search_kernel(n, k, d, max_len)

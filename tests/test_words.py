@@ -18,6 +18,7 @@ from mnmap.words import (
     delta_v,
     format_word,
     parse_word,
+    reduce_onto,
     sigma,
     tau,
     vcb,
@@ -148,6 +149,14 @@ class TestWordOps:
             else:
                 stack.append(letter)
         assert w.free_reduce() == Word(w.flavor, tuple(stack))
+
+    @given(word_pairs_st(max_len=30))
+    def test_reduce_onto_extends_a_reduced_prefix(self, pair):
+        a, b = pair
+        whole = a.letters + b.letters
+        assert (reduce_onto(reduce_onto((), a.letters), b.letters)
+                == reduce_onto((), whole)
+                == Word(a.flavor, whole).free_reduce().letters)
 
     @given(words_st())
     def test_free_reduce_idempotent(self, w):
