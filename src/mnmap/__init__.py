@@ -22,9 +22,6 @@ from .words import (
     classical,
     commutator,
     cylindrical,
-    delta_c,
-    delta_v,
-    format_word,
     parse_word,
     sigma,
     tau,

@@ -38,6 +38,7 @@ from .words import (
     parse_word,
     reduce_onto,
     sigma,
+    vcb,
 )
 
 SEARCH_MAX_LEN = 12
@@ -153,11 +154,10 @@ class SearchResult(namedtuple("SearchResult", "word verified freely_trivial")):
     as search_kernel reports it.  freely_trivial is always False: the
     search enumerates freely reduced words only.  That image was decided
     on the free reduction of the word's concatenated stabilized letter
-    images: empty, or walked by rho_word's column operations to the
-    identity.
+    images: empty, or sent to the identity by rho_word.
 
     verified records a second evaluation of that image by an independent
-    matrix computation instead of that reduction and walk: for the
+    matrix computation instead of that reduction and rho_word: for the
     word split as uv with |u| = |v|, whether M(u) equals M(v^-1).  M(u) is
     the generic product of u's letters' image matrices, each built once
     per search as the generic product of the rho_letter matrices of that
@@ -206,13 +206,14 @@ def _inverse_image(image: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return tuple(letter.inverse() for letter in reversed(image))
 
 
-def _is_hit(image: tuple[Letter, ...], start: reps.RhoState) -> bool:
+def _is_hit(image: tuple[Letter, ...], n: int) -> bool:
     """Whether a candidate is a hit, decided on image, the free reduction
     of its concatenated stabilized letter images: an empty image is a hit
     without a walk, since each generator image times its inverse image is
-    exactly the identity; any other is walked from start, the identity's
-    state, and decided by reps.rho_is_identity on the packed state."""
-    return not image or reps.rho_is_identity(reps.rho_walk(start, image))
+    exactly the identity; any other is decided by reps.rho_word at
+    dimension n, the exact evaluator every caller uses."""
+    return not image or reps.rho_word(
+        Word._trusted(vcb(n), image)).is_identity()
 
 
 def _halves(steps: list[tuple[Letter, ...]], swap_at: list[int], depth: int,
@@ -301,16 +302,15 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     candidate's prefixes, cut back to the common prefix of consecutive
     candidates, so each candidate reduces (words.reduce_onto) only its
     letters' images past that prefix.  A candidate whose reduction is
-    empty is a hit without a walk; any other is walked from the
-    identity's state, one shared reps.rho_start, and reps.rho_is_identity
-    decides on the packed state (_is_hit).  Each hit w = uv is re-verified
-    (see SearchResult) with the products of its halves shared: exact
-    holds M of the last candidate's prefixes, cut back the same way and
-    extended only as far as a hit's u, and backward holds M(v^-1) for each
-    v and its suffixes, cleared whenever the first rank changes.  So each distinct prefix of u, and per first rank each
-    distinct suffix of v, of two or more letters is multiplied once.  A
-    stable sort by length then gives the result order, and classical
-    words are built for the hits only.
+    empty is a hit without a walk; any other is decided by reps.rho_word
+    (_is_hit).  Each hit w = uv is re-verified (see SearchResult) with the
+    products of its halves shared: exact holds M of the last candidate's
+    prefixes, cut back the same way and extended only as far as a hit's
+    u, and backward holds M(v^-1) for each v and its suffixes, cleared
+    whenever the first rank changes.  So each distinct prefix of u, and
+    per first rank each distinct suffix of v, of two or more letters is
+    multiplied once.  A stable sort by length then gives the result
+    order, and classical words are built for the hits only.
 
     The stored half holds the freely reduced words of length 1..max_len
     // 2, A (A-1)^(h-1) of length h over an alphabet of A symbols, each
@@ -366,7 +366,6 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     # exact[i]: the generic product for last[:i+1], only ever as far as a
     # hit's first half
     reduced, exact = [()], []
-    start = reps.rho_start(n)
     last: tuple[int, ...] = ()
     backward: dict[tuple[int, ...], PolyMatrix] = {}  # v -> M(v^-1)
     group = -1  # the first rank of the words whose v are in backward
@@ -380,7 +379,7 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
         for q in word[common:]:
             reduced.append(reduce_onto(reduced[-1], images[q]))
         last = word
-        if not _is_hit(reduced[-1], start):
+        if not _is_hit(reduced[-1], n):
             continue
         h = len(word) // 2
         for q in word[len(exact):h]:

@@ -127,14 +127,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> LaurentPoly:
-        if e < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        for _ in range(e):
-            result = result * self
-        return result
-
     def specialize(self, t0: int, s0: int) -> int:
         """Evaluate at unit points t0, s0 in {-1, 1} (the only integer points
         where t^-1, s^-1 evaluate exactly)."""

@@ -113,12 +113,14 @@ def _fits_half(v: int, width: int, masks: tuple[int, int] | None = None
 def _repack(col: Column, width: int, new_width: int
             ) -> tuple[Column, int]:
     """col's slices at new_width with their zero low slots trimmed, and a
-    bound on its coefficients.  At the same width a slice that passes the
-    range test (_fits_half, with one pair of masks sized to the column's
-    longest slice) is trimmed at v's lowest set bit, not decoded, and
-    bounded by 2^(W/2); a slice fails only when a slot reaches 2^(W/2) in
-    magnitude, so once any slice is decoded the bound is the column's
-    largest coefficient magnitude."""
+    bound on its coefficients.  A wider repack decodes every slice, so its
+    bound is the column's largest coefficient magnitude.  At the same width
+    a slice that passes the range test (_fits_half, with one pair of masks
+    sized to the column's longest slice) is trimmed at v's lowest set bit,
+    not decoded, and bounded by 2^(W/2); a slice fails only when a slot
+    reaches 2^(W/2) in magnitude, so once any slice is decoded the bound is
+    again the column's largest coefficient magnitude.  Only a column whose
+    slices all pass keeps 2^(W/2), which may lie above its maximum."""
     same, half = new_width == width, 1 << (width >> 1)
     if same:
         longest = max((v.bit_length() for _, v in col.values()), default=0)
@@ -136,11 +138,6 @@ def _repack(col: Column, width: int, new_width: int
         out[key] = (lo + z, v >> width * z if same
                     else _pack(coeffs[z:], new_width))
     return out, bound
-
-
-def _largest(col: Column, width: int) -> int:
-    """The largest coefficient magnitude in col, decoded."""
-    return max(abs(c) for _, v in col.values() for c in _unpack(v, width))
 
 
 def _cross(x: Column, y: Column, e: int, dt: int, shift: int, width: int
@@ -170,30 +167,20 @@ def _cross(x: Column, y: Column, e: int, dt: int, shift: int, width: int
 
 # rho_word's walk state: (W, columns, bounds, t_exps, s_exps).  Column j is
 # a Column of slices at slot width W times the monomial factor
-# t^t_exps[j] s^s_exps[j], and bounds[j] bounds its coefficients.  The dicts
-# and lists of a state are never changed once a walk returns it.
+# t^t_exps[j] s^s_exps[j], and bounds[j] bounds its coefficients.
 RhoState = tuple[int, list[Column], list[int], list[int], list[int]]
 
 # The packed rows of the constant 1.
 _ONE_ROWS: Rows = {0: (0, 1)}
 
 
-def rho_start(n: int) -> RhoState:
-    """The walk state of the n x n identity matrix."""
+def rho_walk(n: int, letters: Iterable[Letter]) -> RhoState:
+    """The walk state of the n x n identity right-multiplied by the letters'
+    images, exactly the letters given (see rho_word)."""
     check_dimension(n)
+    width, limit = _START_WIDTH, 1 << (_START_WIDTH - 1)
     cols = [{j: (0, 1)} for j in range(n)]
-    return _START_WIDTH, cols, [1] * n, [0] * n, [0] * n
-
-
-def rho_walk(state: RhoState, letters: Iterable[Letter]) -> RhoState:
-    """The state of state's matrix right-multiplied by the letters' images
-    (see rho_word).  state itself is not changed, so a caller can resume
-    from it again."""
-    width, cols, bounds, t_exps, s_exps = state
-    cols, bounds = list(cols), list(bounds)
-    t_exps, s_exps = list(t_exps), list(s_exps)
-    n = len(cols)
-    limit = 1 << (width - 1)
+    bounds, t_exps, s_exps = [1] * n, [0] * n, [0] * n
     for letter in letters:
         e = letter.sign
         if letter.kind == ZETA:  # rotate right for zeta, left for zeta^-1
@@ -219,11 +206,6 @@ def rho_walk(state: RhoState, letters: Iterable[Letter]) -> RhoState:
             for j in (x, y):
                 cols[j], bounds[j] = _repack(cols[j], width, width)
             bound = bounds[x] + 2 * bounds[y]
-            if bound >= limit:  # 2^(W/2) may be above a column's maximum
-                for j in (x, y):
-                    if bounds[j] == 1 << (width >> 1):
-                        bounds[j] = _largest(cols[j], width)
-                bound = bounds[x] + 2 * bounds[y]
             if bound >= limit:
                 wider = -(-(bound.bit_length() + 1) // 4) * 8
                 for j in range(n):
@@ -238,51 +220,14 @@ def rho_walk(state: RhoState, letters: Iterable[Letter]) -> RhoState:
     return width, cols, bounds, t_exps, s_exps
 
 
-def rho_decode(state: RhoState) -> PolyMatrix:
-    """The matrix of a walk state, each entry times its column's factor.
-    Each column's slices are grouped by row into Rows, the form that
-    laurent._from_rows decodes."""
-    width, cols, _, t_exps, s_exps = state
-    n = len(cols)
-    polys = []
-    for col, ta, sb in zip(cols, t_exps, s_exps):
-        entries: list[Rows] = [{} for _ in range(n)]
-        for key, slice_ in col.items():
-            s, i = divmod(key, n)
-            entries[i][s] = slice_
-        # an entry 1 in a column with factor 1 comes back as the shared ONE,
-        # an empty entry as the shared ZERO
-        polys.append([ONE if entry == _ONE_ROWS and not (ta or sb) else
-                      _from_rows(entry, width, ta, sb) if entry else ZERO
-                      for entry in entries])
-    return PolyMatrix.from_polys(tuple(zip(*polys)))
-
-
-def rho_is_identity(state: RhoState) -> bool:
-    """Whether a walk state's matrix is the identity, decided on the packed
-    columns: column j must have exactly one key, in row j (a slice that
-    cancels is dropped, so a 0 entry has no key), and only that slice is
-    decoded."""
-    width, cols, _, t_exps, s_exps = state
-    n = len(cols)
-    for j, col in enumerate(cols):
-        if len(col) != 1 or next(iter(col)) % n != j:
-            return False
-    return all(_from_rows({key // n: slice_ for key, slice_ in col.items()},
-                          width, ta, sb) == ONE
-               for col, ta, sb in zip(cols, t_exps, s_exps))
-
-
 def rho_word(w: Word) -> PolyMatrix:
     """Left-to-right product of the letter images; dimension = strand count.
-    It is rho_decode(rho_walk(rho_start(n), w.free_reduce())): each letter's
-    image times its inverse's is exactly the identity, so cancelling the
-    pairs leaves the product unchanged and saves their crossings (a
-    projected sigma_{k-1}^-1 sigma_k is delta_c delta_c^-1, 2(n-1) crossings
-    that cancel).  The kernel search decides its candidates under the same
-    rule, on free reductions built by words.reduce_onto.  rho_walk walks
-    exactly the letters it is given, so a caller can also walk a word in
-    pieces and resume from any piece's state.
+    It walks w.free_reduce() (rho_walk) and decodes the walk's state: each
+    letter's image times its inverse's is exactly the identity, so
+    cancelling the pairs leaves the product unchanged and saves their
+    crossings (a projected sigma_{k-1}^-1 sigma_k is delta_c delta_c^-1,
+    2(n-1) crossings that cancel).  The kernel search decides its
+    candidates with it, on free reductions built by words.reduce_onto.
 
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
@@ -302,14 +247,31 @@ def rho_word(w: Word) -> PolyMatrix:
     Each column carries a bound on its coefficients, M_x + 2 M_y after a
     crossing; a monomial factor changes no coefficient, so the bounds
     ignore it.  Before a bound would reach 2^(W-1), the crossing's two
-    columns are re-bounded: a slice whose slots all lie in
-    [-2^(W/2), 2^(W/2)) by the range test (_fits_half) is only trimmed, and
-    the others are decoded to their true maxima.  If the decoded maxima
-    still reach 2^(W-1), every slice is repacked at about twice the bits
-    needed.  Each entry becomes a LaurentPoly once, at the end, when its
-    column's factor is applied.
+    columns are re-bounded at the same width (_repack): a slice whose slots
+    all lie in [-2^(W/2), 2^(W/2)) by the range test (_fits_half) is only
+    trimmed and bounded by 2^(W/2), and the others are decoded to their
+    true maxima.  If the new bounds still reach 2^(W-1), every slice is
+    repacked at about twice the bits they need.  Widening is exact, so a
+    loose bound costs width, never a wrong coefficient.
+
+    At the end each column's slices are grouped by row into Rows, the form
+    that laurent._from_rows decodes, and each entry becomes a LaurentPoly
+    once, times its column's factor.
     """
-    return rho_decode(rho_walk(rho_start(w.n), w.free_reduce()))
+    width, cols, _, t_exps, s_exps = rho_walk(w.n, w.free_reduce())
+    n = len(cols)
+    polys = []
+    for col, ta, sb in zip(cols, t_exps, s_exps):
+        entries: list[Rows] = [{} for _ in range(n)]
+        for key, slice_ in col.items():
+            s, i = divmod(key, n)
+            entries[i][s] = slice_
+        # an entry 1 in a column with factor 1 comes back as the shared ONE,
+        # an empty entry as the shared ZERO
+        polys.append([ONE if entry == _ONE_ROWS and not (ta or sb) else
+                      _from_rows(entry, width, ta, sb) if entry else ZERO
+                      for entry in entries])
+    return PolyMatrix.from_polys(tuple(zip(*polys)))
 
 
 # Evaluation at a point is a ring homomorphism Z[t^+-1, s^+-1] -> Z/p, so a

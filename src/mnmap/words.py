@@ -302,20 +302,6 @@ def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inverse() * b.inverse()
 
 
-def delta_c(n: int) -> Word:
-    """sigma_1 ... sigma_{n-1} as a cylindrical word."""
-    if n < 2:
-        raise WordError(f"delta_c needs n >= 2, got {n}")
-    return Word(cylindrical(n), tuple(sigma(i) for i in range(1, n)))
-
-
-def delta_v(n: int) -> Word:
-    """tau_1 ... tau_{n-1} as a virtual cylindrical word."""
-    if n < 2:
-        raise WordError(f"delta_v needs n >= 2, got {n}")
-    return Word(vcb(n), tuple(tau(i) for i in range(1, n)))
-
-
 # Longest word that Word, its products, powers and commutators,
 # parse_word, maps.project_pk and maps.stabilize_fd will build, and the most
 # strands Word.permutation will lay out.
@@ -381,16 +367,9 @@ def parse_word(text: str, flavor: Flavor) -> Word:
             runs.append((sigma(abs(v), 1 if v > 0 else -1), 1))
     else:
         runs = [_parse_token(tok) for tok in tokens]
-    size = sum(count for _, count in runs)
-    if size > MAX_WORD_LETTERS:
-        raise WordError(f"word expands to {size} letters, over the cap of "
-                        f"{MAX_WORD_LETTERS}")
+    _check_size("word", sum(count for _, count in runs))
     letters: list[Letter] = []
     for letter, count in runs:
         letters += [letter] * count
     return Word(flavor, tuple(letters))
 
-
-def format_word(w: Word) -> str:
-    """Inverse of parse_word: one token per letter."""
-    return str(w)

@@ -161,15 +161,16 @@ class TestTheorem2:
 
 @pytest.fixture
 def exact_evaluations(monkeypatch):
-    """The rho walk states the search decides exactly, one per candidate."""
+    """The matrices reps.rho_word returns to the search, one per candidate
+    it decides exactly."""
     evaluated = []
-    decide = reps.rho_is_identity
+    evaluate = reps.rho_word
 
-    def counting(state):
-        evaluated.append(state)
-        return decide(state)
+    def counting(w):
+        evaluated.append(evaluate(w))
+        return evaluated[-1]
 
-    monkeypatch.setattr(reps, "rho_is_identity", counting)
+    monkeypatch.setattr(reps, "rho_word", counting)
     return evaluated
 
 
@@ -180,8 +181,8 @@ def decisions(monkeypatch):
     decided = []
     is_hit = kernel._is_hit
 
-    def recording(image, start):
-        verdict = is_hit(image, start)
+    def recording(image, n):
+        verdict = is_hit(image, n)
         decided.append((image, verdict))
         return verdict
 
@@ -290,26 +291,25 @@ class TestSearch:
     def test_screen_lets_no_non_hit_through(self, decisions,
                                             exact_evaluations):
         # each candidate is decided once: by an empty reduced image, or by
-        # a walk whose state rho_is_identity decides
+        # a reps.rho_word matrix
         results = search_kernel(n=3, k=2, d=1, max_len=6)
         empty = sum(not image for image, _ in decisions)
         assert empty + len(exact_evaluations) == len(decisions) \
             == len(results) == 50
         assert (empty, len(exact_evaluations)) == (48, 2)
         assert all(verdict for _, verdict in decisions)
-        assert all(reps.rho_decode(state).is_identity()
-                   for state in exact_evaluations)
+        assert all(image.is_identity() for image in exact_evaluations)
 
     def test_walks_only_the_reduced_images_of_candidates(self, monkeypatch):
-        # in candidate order (rank sequences sorted), each walk starts from
-        # the identity's state and gets the candidate's reduced image
+        # in candidate order (rank sequences sorted), each walk is at
+        # dimension n and gets the candidate's reduced image
         n, k, d = 3, 2, 1
         walked = []
         walk = reps.rho_walk
 
-        def spy(state, letters):
-            walked.append((state, tuple(letters)))
-            return walk(state, letters)
+        def spy(dimension, letters):
+            walked.append((dimension, tuple(letters)))
+            return walk(dimension, walked[-1][1])
 
         monkeypatch.setattr(reps, "rho_walk", spy)
         results = search_kernel(n, k, d, 10)
@@ -320,7 +320,7 @@ class TestSearch:
         expected = [image for image in (reduced_image(w, k, n, d)
                                         for w in ordered) if image]
         assert [letters for _, letters in walked] == expected
-        assert all(state == reps.rho_start(n) for state, _ in walked)
+        assert all(dimension == n for dimension, _ in walked)
         assert (len(walked), sum(len(letters) for _, letters in walked)) \
             == (92, 584)
 

@@ -79,12 +79,6 @@ class TestPoly:
         assert 2 * T == T + T
         assert 1 - T == ONE - T
 
-    def test_pow(self):
-        assert T ** 3 == LaurentPoly.monomial(1, 3, 0)
-        assert (T + 1) ** 2 == T * T + 2 * T + 1
-        with pytest.raises(ValueError):
-            T ** -1
-
     @given(polys_st(), polys_st(), polys_st())
     def test_ring_laws(self, p, q, r):
         assert p + q == q + p

@@ -19,7 +19,7 @@ from helpers import (
     relation_rewritten_trivial,
 )
 from strategies import word_pairs_st, words_st
-from mnmap import laurent, reps
+from mnmap import kernel, laurent, reps
 from mnmap.kernel import bigelow_alpha, lift_witness
 from mnmap.laurent import (
     MAX_DIMENSION,
@@ -268,44 +268,8 @@ class TestRhoWordWalk:
 
 
 class TestResumableWalk:
-    """rho_word is rho_decode(rho_walk(rho_start(n), w)); a walk resumes
-    from any state it returned, and rho_is_identity decides the identity
-    on the packed state."""
-
-    WORDS = TestRhoWordWalk.WORDS + [w * w.inverse()
-                                     for w in TestRhoWordWalk.WORDS[::4]]
-
-    @staticmethod
-    def walk_in_pieces(w: Word, rng: random.Random):
-        """The states after each of a few random cuts of w, walking each
-        piece from the state before it, and the cuts."""
-        cuts = sorted(rng.sample(range(len(w) + 1), min(4, len(w) + 1)))
-        states, start = [reps.rho_start(w.n)], 0
-        for cut in cuts + [len(w)]:
-            states.append(reps.rho_walk(states[-1], w.letters[start:cut]))
-            start = cut
-        return states, [0] + cuts + [len(w)]
-
-    @pytest.mark.parametrize("start_width", [64, 8])
-    def test_pieces_match_one_pass_and_decide_like_rho_word(
-            self, monkeypatch, start_width):
-        # at 8-bit slots pieces start and end between repacks and widenings
-        monkeypatch.setattr(reps, "_START_WIDTH", start_width)
-        rng = random.Random(start_width)
-        decisions = []
-        for w in self.WORDS:
-            states, cuts = self.walk_in_pieces(w, rng)
-            whole = reps.rho_walk(reps.rho_start(w.n), w)
-            assert states[-1] == whole, str(w)
-            # no later piece changed an earlier state
-            for state, cut in zip(states, cuts):
-                assert state == reps.rho_walk(reps.rho_start(w.n),
-                                              w.letters[:cut]), str(w)
-            image = rho_word(w)
-            assert reps.rho_decode(states[-1]) == image
-            decisions.append(reps.rho_is_identity(states[-1]))
-            assert decisions[-1] == image.is_identity(), str(w)
-        assert 0 < sum(decisions) < len(decisions)
+    """rho_word and the search's kernel._is_hit decide the identity alike,
+    also on words whose image has every off-diagonal entry empty."""
 
     @pytest.mark.parametrize("text, n, identity", [
         ("t1 z", 2, False),  # diag(s, s^-1): empty off the diagonal
@@ -316,9 +280,8 @@ class TestResumableWalk:
         ("s1 t1 z s1^-1", 2, False)])
     def test_identity_decided_on_the_diagonal(self, text, n, identity):
         w = parse_word(text, vcb(n))
-        state = reps.rho_walk(reps.rho_start(n), w)
-        assert reps.rho_is_identity(state) is identity
         assert rho_word(w).is_identity() is identity
+        assert kernel._is_hit(w.letters, n) is identity
 
 
 def planted_word(rng: random.Random, flavor, length: int) -> Word:
@@ -388,9 +351,9 @@ class TestReducedWalk:
         walked = []
         walk = reps.rho_walk
 
-        def spy(state, letters):
+        def spy(n, letters):
             walked.append(tuple(letters))
-            return walk(state, walked[-1])
+            return walk(n, walked[-1])
 
         monkeypatch.setattr(reps, "rho_walk", spy)
         for w in self.words():
@@ -521,24 +484,15 @@ class TestColumnKeys:
         monkeypatch.setattr(reps, "_START_WIDTH", start_width)
         spread = 0
         for w in self.words():
-            powers = self.s_powers(reps.rho_walk(reps.rho_start(w.n), w))
+            powers = self.s_powers(reps.rho_walk(w.n, w))
             spread += min(powers) < -w.n and max(powers) > w.n
             assert rho_word(w) == reference_rho_word(w) == letter_product(w)
         assert spread > len(self.words()) // 2
 
-    def test_identity_decided_like_decoded_matrix(self):
-        decisions = []
-        for w in self.words():
-            for v in (w, w * w.inverse(), w.inverse() * w):
-                state = reps.rho_walk(reps.rho_start(v.n), v)
-                decisions.append(reps.rho_is_identity(state))
-                assert decisions[-1] is reps.rho_decode(state).is_identity()
-        assert 0 < sum(decisions) < len(decisions)
-
     def test_untouched_diagonal_entry_is_the_shared_one(self):
         for seed in range(3):
             w = wound_word(random.Random(seed), 5, 300, wind=False)
-            powers = self.s_powers(reps.rho_walk(reps.rho_start(5), w))
+            powers = self.s_powers(reps.rho_walk(5, w))
             assert min(powers) < -5 and max(powers) > 5
             image = rho_word(w)
             assert image == reference_rho_word(w)
@@ -721,35 +675,34 @@ class TestRangeTest:
             assert not all(-h <= c < h for c in slots), slots
 
     def test_widens_only_on_decoded_maxima(self, monkeypatch):
-        # from 8-bit slots the walk widens often, and a column bounded by
-        # the range test alone is decoded before it can cause a widening:
-        # the spy reads the crossing's columns from rho_walk's frame at the
-        # first column a widening repacks
-        widenings, largest = [], []
+        # from 8-bit slots the walk widens often, and only once the
+        # crossing's two columns are re-bounded at the same width and their
+        # bounds still reach 2^(W-1).  Each of those bounds is the column's
+        # decoded maximum, or 2^(W/2) where the range test passed every
+        # slice.  The spy reads the crossing's columns from rho_walk's frame
+        # at the first column a widening repacks
+        widenings = []
 
         def spy_repack(col, width, new_width):
             walk = sys._getframe(1).f_locals
             if new_width != width and walk["j"] == 0:
-                bounds, cols = walk["bounds"], walk["cols"]
-                maxima = [_largest(cols[j], width)
-                          for j in (walk["x"], walk["y"])]
-                assert [bounds[walk["x"]], bounds[walk["y"]]] == maxima
-                assert maxima[0] + 2 * maxima[1] >= 1 << (width - 1)
+                bounds, cols, x, y = (walk[name] for name in
+                                      ("bounds", "cols", "x", "y"))
+                for j in (x, y):
+                    largest = max(abs(c) for _, v in cols[j].values()
+                                  for c in laurent._unpack(v, width))
+                    assert bounds[j] in (largest, 1 << (width >> 1))
+                    assert largest <= bounds[j]
+                assert bounds[x] + 2 * bounds[y] >= 1 << (width - 1)
                 widenings.append(width)
             return repack(col, width, new_width)
 
-        def spy_largest(col, width):
-            largest.append(_largest(col, width))
-            return largest[-1]
-
-        repack, _largest = reps._repack, reps._largest
+        repack = reps._repack
         monkeypatch.setattr(reps, "_START_WIDTH", 8)
         monkeypatch.setattr(reps, "_repack", spy_repack)
-        monkeypatch.setattr(reps, "_largest", spy_largest)
         for w in TestRhoWordWalk.WORDS:
             assert rho_word(w) == reference_rho_word(w), str(w)
         assert len(widenings) > 10
-        assert any(m < 1 << 4 for m in largest)
 
 
 # The largest magnitude a 64-bit slot holds, and slots that reach it, are 0

@@ -14,9 +14,6 @@ from mnmap.words import (
     classical,
     commutator,
     cylindrical,
-    delta_c,
-    delta_v,
-    format_word,
     parse_word,
     reduce_onto,
     sigma,
@@ -96,7 +93,7 @@ class TestParse:
 
     @given(words_st())
     def test_round_trip(self, w):
-        assert parse_word(format_word(w), w.flavor) == w
+        assert parse_word(str(w), w.flavor) == w
 
 
 class TestWordOps:
@@ -317,21 +314,6 @@ class TestPermutation:
     @given(words_st(max_len=20))
     def test_inverse_word_inverts_permutation(self, w):
         assert w.inverse().permutation() == w.permutation().inverse()
-
-
-class TestStandardWords:
-    def test_delta_c(self):
-        assert delta_c(3) == parse_word("s1 s2", cylindrical(3))
-        assert delta_c(2) == parse_word("s1", cylindrical(2))
-
-    def test_delta_v(self):
-        assert delta_v(4) == parse_word("t1 t2 t3", vcb(4))
-
-    def test_too_few_strands(self):
-        with pytest.raises(WordError):
-            delta_c(1)
-        with pytest.raises(WordError):
-            delta_v(1)
 
 
 class TestValidation:
