@@ -4,7 +4,7 @@ call; output is byte-deterministic for a fixed command line.
 Exit codes: 0 success (or verification passed / braid trivial), 1 verification
 failed (a theorem check, or a search hit whose re-verification failed) or
 braid nontrivial, 2 usage or parse error, 3 inconclusive (a word problem
-overran the handle-reduction step cap or the Artin image budget).
+overran the handle-reduction step cap).
 
 For pk / mn / search / defect, --n is the codomain strand count; the word
 argument lives on n+1 strands.
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as err:  # word, purity, support errors
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (reps.ReductionCapError, reps.ArtinBudgetError) as err:
+    except reps.ReductionCapError as err:
         print(f"error: inconclusive: {err}", file=sys.stderr)
         return 3
     if output:

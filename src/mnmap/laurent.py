@@ -32,14 +32,6 @@ class LaurentPoly:
         return result
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls({(0, 0): 1})
-
-    @classmethod
     def monomial(cls, coeff: int, t_exp: int = 0, s_exp: int = 0) -> LaurentPoly:
         return cls({(t_exp, s_exp): coeff})
 
@@ -166,8 +158,8 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly({(0, 0): 1})
 T = LaurentPoly.monomial(1, 1, 0)
 S = LaurentPoly.monomial(1, 0, 1)
 T_INV = LaurentPoly.monomial(1, -1, 0)

@@ -28,12 +28,12 @@ from .reps import rho_word
 from .words import (
     CLASSICAL,
     CYLINDRICAL,
-    MAX_WORD_LETTERS,
     Letter,
     SIGMA,
     ZETA,
     Word,
     WordError,
+    _check_size,
     cylindrical,
     sigma,
     tau,
@@ -89,10 +89,11 @@ def pk_letter_image(index: int, sign: int, k: int, n: int
 def project_pk(w: Word, k: int) -> Word:
     """Letter-wise projection of a pure classical word on n+1 strands to a
     cylindrical word on n strands, distinguished strand k.  Support (the
-    first unsupported position) and the result's MAX_WORD_LETTERS cap are
-    checked first, then purity.  The work is per distinct letter: one
-    support check and one image each, and the result is the images'
-    concatenation in word order."""
+    first unsupported position) and the result's size are checked first,
+    the size by words._check_size (a WordError over MAX_WORD_LETTERS), then
+    purity, all before anything is built.  The work is per distinct
+    letter: one support check and one image each, and the result is the
+    images' concatenation in word order."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"project_pk expects a classical word, got {w.flavor!r}")
     if w.n < 2:
@@ -115,9 +116,7 @@ def project_pk(w: Word, k: int) -> Word:
     size = sum(count * (n - 1 if (letter.index, letter.sign) in
                         ((k - 1, -1), (k, 1)) else 1)
                for letter, count in counts.items())
-    if size > MAX_WORD_LETTERS:
-        raise ValueError(f"projected word would have {size} letters, over "
-                         f"the cap of {MAX_WORD_LETTERS}")
+    _check_size("projected word", size)
     if not w.is_pure():
         raise PurityError("project_pk is defined on pure braids only")
     images = {letter: pk_letter_image(letter.index, letter.sign, k, n)
@@ -136,8 +135,8 @@ def _zeta_image_letters(n: int, d: int) -> tuple[Letter, ...]:
 def stabilize_fd(w: Word, d: int) -> Word:
     """Stabilization of a cylindrical word into the virtual cylindrical
     group: classical crossings verbatim, the cyclic shift wound d times
-    through virtual crossings.  The result is capped at MAX_WORD_LETTERS
-    letters, checked before it is built."""
+    through virtual crossings.  The result's size is checked before it is
+    built, by words._check_size (a WordError over MAX_WORD_LETTERS)."""
     if w.flavor.group != CYLINDRICAL:
         raise WordError(f"stabilize_fd expects a cylindrical word, got {w.flavor!r}")
     if d < 1:
@@ -145,9 +144,7 @@ def stabilize_fd(w: Word, d: int) -> Word:
     n = w.n
     zetas = sum(letter.kind == ZETA for letter in w)
     size = len(w) + zetas * (d - 1) * n  # each zeta becomes (d-1)n+1 letters
-    if size > MAX_WORD_LETTERS:
-        raise ValueError(f"stabilized word would have {size} letters, over "
-                         f"the cap of {MAX_WORD_LETTERS}")
+    _check_size("stabilized word", size)
     zimg = _zeta_image_letters(n, d) if zetas else ()
     zimg_inv = tuple(l.inverse() for l in reversed(zimg))
     letters: list[Letter] = []

@@ -45,6 +45,7 @@ from .words import (
     Letter,
     Word,
     WordError,
+    reduce_onto,
 )
 
 DEFAULT_ARTIN_BUDGET = 2 ** 16
@@ -165,59 +166,56 @@ def _cross(x: Column, y: Column, e: int, dt: int, shift: int, width: int
     return out
 
 
-# rho_word's walk state: (W, columns, bounds, t_exps, s_exps).  Column j is
-# a Column of slices at slot width W times the monomial factor
-# t^t_exps[j] s^s_exps[j], and bounds[j] bounds its coefficients.
-RhoState = tuple[int, list[Column], list[int], list[int], list[int]]
+# rho_word's walk state: (W, records), one record (col, bound, a, b) per
+# column: col is a Column of slices at slot width W, the column is col times
+# the monomial factor t^a s^b, and bound bounds its coefficients.
+RhoState = tuple[int, list[tuple[Column, int, int, int]]]
 
 # The packed rows of the constant 1.
 _ONE_ROWS: Rows = {0: (0, 1)}
 
 
 def rho_walk(n: int, letters: Iterable[Letter]) -> RhoState:
-    """The walk state of the n x n identity right-multiplied by the letters'
-    images, exactly the letters given (see rho_word)."""
+    """The walk state (W, records), one (col, bound, a, b) record per
+    column (RhoState), of the n x n identity right-multiplied by the
+    letters' images, exactly the letters given (see rho_word)."""
     check_dimension(n)
     width, limit = _START_WIDTH, 1 << (_START_WIDTH - 1)
-    cols = [{j: (0, 1)} for j in range(n)]
-    bounds, t_exps, s_exps = [1] * n, [0] * n, [0] * n
+    records = [({j: (0, 1)}, 1, 0, 0) for j in range(n)]
     for letter in letters:
         e = letter.sign
         if letter.kind == ZETA:  # rotate right for zeta, left for zeta^-1
-            cols, bounds = cols[-e:] + cols[:-e], bounds[-e:] + bounds[:-e]
-            t_exps = t_exps[-e:] + t_exps[:-e]
-            s_exps = s_exps[-e:] + s_exps[:-e]
+            records = records[-e:] + records[:-e]
             continue
         k = letter.index
         if not 1 <= k <= n - 1:
             raise WordError(f"letter {letter} has no image at dimension {n}")
-        a, b = k - 1, k
-        if letter.kind == TAU:  # a' = s^-1 b, b' = s a
-            cols[a], cols[b] = cols[b], cols[a]
-            bounds[a], bounds[b] = bounds[b], bounds[a]
-            t_exps[a], t_exps[b] = t_exps[b], t_exps[a]
-            s_exps[a], s_exps[b] = s_exps[b] - 1, s_exps[a] + 1
+        if letter.kind == TAU:  # columns k-1' = s^-1 k and k' = s (k-1)
+            (col, bound, a, b), (col_k, bound_k, a_k, b_k) = \
+                records[k - 1], records[k]
+            records[k - 1] = col_k, bound_k, a_k, b_k - 1
+            records[k] = col, bound, a, b + 1
             continue
-        # sigma: b' = t a, a' = b + (1-t) a; sigma^-1: a' = t^-1 b,
-        # b' = a + (1-t^-1) b.  So x' = t^e y and y' = x + (1-t^e) y.
-        x, y = (b, a) if e == 1 else (a, b)
-        bound = bounds[x] + 2 * bounds[y]
+        # columns sigma_k: k' = t (k-1), k-1' = k + (1-t) (k-1); sigma_k^-1:
+        # k-1' = t^-1 k, k' = (k-1) + (1-t^-1) k.  So x' = t^e y and
+        # y' = x + (1-t^e) y.
+        x, y = (k, k - 1) if e == 1 else (k - 1, k)
+        bound = records[x][1] + 2 * records[y][1]
         if bound >= limit:
             for j in (x, y):
-                cols[j], bounds[j] = _repack(cols[j], width, width)
-            bound = bounds[x] + 2 * bounds[y]
+                col, _, a, b = records[j]
+                records[j] = (*_repack(col, width, width), a, b)
+            bound = records[x][1] + 2 * records[y][1]
             if bound >= limit:
                 wider = -(-(bound.bit_length() + 1) // 4) * 8
-                for j in range(n):
-                    cols[j], bounds[j] = _repack(cols[j], width, wider)
+                for j, (col, _, a, b) in enumerate(records):
+                    records[j] = (*_repack(col, width, wider), a, b)
                 width, limit = wider, 1 << (wider - 1)
-        dt, ds = t_exps[y] - t_exps[x], s_exps[y] - s_exps[x]
-        cols[x], cols[y] = cols[y], _cross(cols[x], cols[y], e, dt, ds * n,
-                                           width)
-        bounds[x], bounds[y] = bounds[y], bound
-        t_exps[x], t_exps[y] = t_exps[y] + e, t_exps[x]
-        s_exps[x], s_exps[y] = s_exps[y], s_exps[x]
-    return width, cols, bounds, t_exps, s_exps
+        (col_x, _, a, b), (col_y, bound_y, a_y, b_y) = records[x], records[y]
+        records[x] = col_y, bound_y, a_y + e, b_y
+        records[y] = (_cross(col_x, col_y, e, a_y - a, (b_y - b) * n, width),
+                      bound, a, b)
+    return width, records
 
 
 def rho_word(w: Word) -> PolyMatrix:
@@ -232,19 +230,19 @@ def rho_word(w: Word) -> PolyMatrix:
     Computed by column operations: right-multiplying by a generator image
     touches two columns (crossings) or rotates the columns (cyclic shift),
     which is exact and agrees entry-for-entry with the generic matrix
-    product.  Each column is one dict (Column) times one monomial factor
-    t^a s^b, with a and b kept per column.  The dict holds every nonzero
-    s-slice of every entry of the column as packed t-rows, keyed by
-    s n + row, all with one slot width W.
+    product.  The walk keeps one record (col, bound, a, b) per column: the
+    column is the dict col (Column) times the monomial factor t^a s^b.  The
+    dict holds every nonzero s-slice of every entry of the column as packed
+    t-rows, keyed by s n + row, all with one slot width W.
 
     Only the sum of a crossing does work on slices.  A crossing's copy
-    x' = t^+-1 y is y's dict with 1 added to or taken from a; tau swaps two
-    dicts and moves their b by -+1; zeta rotates the dicts with their
-    factors.  The sum y' = x + (1 - t^+-1) y takes x's factor and is one
-    _cross: a copy of x's dict, plus each of y's slices moved by the
-    factors' difference (its key by ds n), a shift and two additions each.
+    x' = t^+-1 y is y's record with 1 added to or taken from a; tau swaps
+    two records and moves their b by -+1; zeta rotates the records.  The
+    sum y' = x + (1 - t^+-1) y takes x's factor and is one _cross: a copy
+    of x's dict, plus each of y's slices moved by the factors' difference
+    (its key by ds n), a shift and two additions each.
 
-    Each column carries a bound on its coefficients, M_x + 2 M_y after a
+    Each record carries a bound on its coefficients, M_x + 2 M_y after a
     crossing; a monomial factor changes no coefficient, so the bounds
     ignore it.  Before a bound would reach 2^(W-1), the crossing's two
     columns are re-bounded at the same width (_repack): a slice whose slots
@@ -258,18 +256,18 @@ def rho_word(w: Word) -> PolyMatrix:
     that laurent._from_rows decodes, and each entry becomes a LaurentPoly
     once, times its column's factor.
     """
-    width, cols, _, t_exps, s_exps = rho_walk(w.n, w.free_reduce())
-    n = len(cols)
+    width, records = rho_walk(w.n, w.free_reduce())
+    n = len(records)
     polys = []
-    for col, ta, sb in zip(cols, t_exps, s_exps):
+    for col, _, a, b in records:
         entries: list[Rows] = [{} for _ in range(n)]
         for key, slice_ in col.items():
             s, i = divmod(key, n)
             entries[i][s] = slice_
         # an entry 1 in a column with factor 1 comes back as the shared ONE,
         # an empty entry as the shared ZERO
-        polys.append([ONE if entry == _ONE_ROWS and not (ta or sb) else
-                      _from_rows(entry, width, ta, sb) if entry else ZERO
+        polys.append([ONE if entry == _ONE_ROWS and not (a or b) else
+                      _from_rows(entry, width, a, b) if entry else ZERO
                       for entry in entries])
     return PolyMatrix.from_polys(tuple(zip(*polys)))
 
@@ -501,20 +499,15 @@ class ReductionCapError(RuntimeError):
 
 def handle_reduce(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> Word:
     """Reduce handles (leftmost-innermost first) until none remain; the
-    fixed selection strategy makes runs reproducible.  More than max_steps
-    reductions raise ReductionCapError, naming the word length at the cap
-    and the peak length on the way."""
+    fixed selection strategy makes runs reproducible.  It starts from
+    w's free reduction, reduce_onto((), w.letters), as signed ints.  More
+    than max_steps reductions raise ReductionCapError, naming the word
+    length at the cap and the peak length on the way."""
     if w.flavor.group != CLASSICAL:
         raise WordError(f"handle reduction needs a classical word, got {w.flavor!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
-    letters: list[int] = []
-    for letter in w:
-        x = letter.sign * letter.index
-        if letters and letters[-1] == -x:
-            letters.pop()
-        else:
-            letters.append(x)
+    letters = [sign * index for _, index, sign in reduce_onto((), w.letters)]
     # The scan state of the prefix letters[:len(prev)]: last[i] is the
     # latest position of sigma_i^{+-1} there, prev[r] the one before r of
     # the index at r (-1 if none).

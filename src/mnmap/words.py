@@ -114,8 +114,8 @@ class Permutation(namedtuple("Permutation", "images")):
     """Bijection of {1..n}; images[i-1] is the destination of strand i.
 
     The product convention matches matrix multiplication of permutation
-    matrices in the column convention (matrix()[p(j)-1][j-1] == 1):
-    (p * q)(x) = p(q(x)).
+    matrices in the column convention (matrix()[images[j-1]-1][j-1] == 1):
+    (p * q).images[x-1] == p.images[q.images[x-1]-1].
     """
 
     __slots__ = ()
@@ -129,9 +129,6 @@ class Permutation(namedtuple("Permutation", "images")):
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
 
     def __mul__(self, other: Permutation) -> Permutation:
         if self.n != other.n:
@@ -303,8 +300,8 @@ def commutator(a: Word, b: Word) -> Word:
 
 
 # Longest word that Word, its products, powers and commutators,
-# parse_word, maps.project_pk and maps.stabilize_fd will build, and the most
-# strands Word.permutation will lay out.
+# parse_word, maps.project_pk and maps.stabilize_fd will build (each refuses
+# through _check_size), and the most strands Word.permutation will lay out.
 MAX_WORD_LETTERS = 10 ** 6
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from helpers import random_pure_word, random_word
-from mnmap import kernel, maps, reps
+from mnmap import kernel, maps, reps, words
 from mnmap.cli import main
 from mnmap.laurent import MAX_DIMENSION, PolyMatrix
 from mnmap.maps import mn_map
@@ -331,11 +331,12 @@ class TestErrors:
         assert peak < 1_000_000
 
     def test_projection_over_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 3)
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 3)
         code, out, err = run(capsys, "pk", "--n", "3", "--k", "1", "s1 s1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "4 letters, over the cap of 3" in err
+        assert err.endswith("4 letters, over the cap of 3 "
+                            "(MAX_WORD_LETTERS)\n")
 
     def test_oversized_number(self, capsys):
         code, out, err = run(capsys, "burau", "--n", "3", "s1^" + "9" * 5000)
@@ -350,8 +351,7 @@ class TestErrors:
 
 
 class TestInconclusive:
-    @pytest.mark.parametrize("error", [reps.ReductionCapError,
-                                       reps.ArtinBudgetError])
+    @pytest.mark.parametrize("error", [reps.ReductionCapError])
     def test_cap_overrun_exits_3(self, capsys, monkeypatch, error):
         def overrun(*args, **kwargs):
             raise error("cap exceeded")

@@ -34,11 +34,11 @@ def polys_st(max_exp=3, max_coeff=9, max_terms=4):
 
 def leibniz_det(matrix: PolyMatrix) -> LaurentPoly:
     """Independent determinant: the full signed permutation sum."""
-    total = LaurentPoly.zero()
+    total = ZERO
     for perm in permutations(range(matrix.n)):
         inversions = sum(1 for i in range(matrix.n) for j in range(i + 1, matrix.n)
                          if perm[i] > perm[j])
-        prod = LaurentPoly.one()
+        prod = ONE
         for i, j in enumerate(perm):
             prod = prod * matrix[i, j]
         total = total + (prod if inversions % 2 == 0 else -prod)

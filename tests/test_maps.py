@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_pure_word, random_word
-from mnmap import maps
+from mnmap import maps, words
 from mnmap.laurent import MAX_DIMENSION, ONE, PolyMatrix, T_INV
 from mnmap.maps import (
     PurityError,
@@ -111,7 +111,7 @@ class TestProject:
         # at n = 3, k = 4: sigma_3^-1 -> delta_c (2 letters), sigma_3 ->
         # zeta^-1, sigma_1^{+-1} -> sigma_2^{+-1}: 5 letters in all
         w = parse_word("s3^-1 s3 s1^-1 s1", classical(4))
-        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 5)
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 5)
         assert project_pk(w, 4) == parse_word("s1 s2 z^-1 s2^-1 s2",
                                               cylindrical(3))
 
@@ -119,9 +119,10 @@ class TestProject:
             raise AssertionError("project_pk built an image before the "
                                  "size check")
 
-        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 4)
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 4)
         monkeypatch.setattr(maps, "pk_letter_image", built)
-        with pytest.raises(ValueError, match="5 letters, over the cap of 4"):
+        with pytest.raises(WordError, match=r"5 letters, over the cap of 4 "
+                           r"\(MAX_WORD_LETTERS\)$"):
             project_pk(w, 4)
 
     def test_size_cap_checked_before_purity(self, monkeypatch):
@@ -129,11 +130,12 @@ class TestProject:
             raise AssertionError("project_pk checked purity before the size "
                                  "check")
 
-        monkeypatch.setattr(maps, "MAX_WORD_LETTERS", 4)
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 4)
         monkeypatch.setattr(Word, "is_pure", checked)
         monkeypatch.setattr(Word, "permutation", checked)
         w = parse_word("s3^-1 s3 s1^-1 s1", classical(4))
-        with pytest.raises(ValueError, match="5 letters, over the cap of 4"):
+        with pytest.raises(WordError, match=r"5 letters, over the cap of 4 "
+                           r"\(MAX_WORD_LETTERS\)$"):
             project_pk(w, 4)
 
     def test_purity_check_does_not_scale_with_strands(self):
@@ -232,7 +234,8 @@ class TestStabilize:
     def test_size_cap_checked_before_building(self):
         n = 3
         d = MAX_WORD_LETTERS // n + 2  # one zeta image: (d-1)n+1 > cap
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(WordError, match=rf"over the cap of "
+                           rf"{MAX_WORD_LETTERS} \(MAX_WORD_LETTERS\)$"):
             stabilize_fd(parse_word("s1 z", cylindrical(n)), d)
         w = parse_word("s1 s2^-1", cylindrical(n))
         assert stabilize_fd(w, d) == Word(vcb(n), w.letters)
