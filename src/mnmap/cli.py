@@ -12,7 +12,6 @@ argument lives on n+1 strands.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import kernel, maps, reps, words
@@ -26,64 +25,78 @@ class UsageError(Exception):
     pass
 
 
-def _build_parser() -> _Parser:
+# Each subcommand: name, help, and its arguments in the order they are added
+# (the order of its usage line and --help).  An argument not in _ARGUMENTS is
+# a required int.
+_COMMANDS = (
+    ("reduce", "free-reduce a word", ("word", "--n", "--flavor", "--format")),
+    ("perm", "underlying strand permutation",
+     ("word", "--n", "--flavor", "--format")),
+    ("pk", "project a pure word on n+1 strands to a cylindrical word",
+     ("word", "--n", "--k", "--format")),
+    ("fd", "stabilize a cylindrical word into the virtual group",
+     ("word", "--n", "--d", "--format")),
+    ("rho", "matrix of a word under the representation",
+     ("word", "--n", "--flavor", "--format")),
+    ("burau", "unreduced Burau matrix of a classical word",
+     ("word", "--n", "--format")),
+    ("mn", "matrix of a pure word on n+1 strands under the composite map",
+     ("word", "--n", "--k", "--d", "--format")),
+    ("trivial", "decide the word problem (exit 1 if nontrivial)",
+     ("word", "--n", "--format", "--max-steps")),
+    ("verify-thm1", "push the lifted Burau-kernel witness through the "
+     "composite map", ("--d", "--format")),
+    ("verify-thm2", "composite image of sigma_k^-2m on 2m+1 strands",
+     ("--m", "--k", "--format")),
+    ("search", "exhaustive kernel search over supported generators",
+     ("--n", "--k", "--d", "--max-len", "--format")),
+    ("defect", "letter-wise image of the canceling pair sigma_i sigma_i^-1",
+     ("--i", "--k", "--n", "--d", "--format")),
+)
+
+_ARGUMENTS = {
+    "word": {"help": "word in the token grammar, e.g. 's1 s2^-1'"},
+    "--flavor": {"default": words.CLASSICAL,
+                 "choices": (words.CLASSICAL, words.CYLINDRICAL, words.VCB)},
+    "--format": {"choices": ["text", "json"], "default": "text"},
+    "--max-steps": {"type": int, "default": reps.DEFAULT_STEP_CAP,
+                    "help": "handle-reduction step cap; exit 3 if a handle "
+                    "is left after that many steps (default %(default)s)"},
+}
+_REQUIRED_INT = {"type": int, "required": True}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The top-level parser, with a subparser for `command` alone when it
+    names a subcommand and for every subcommand otherwise.  A subcommand's
+    usage, --help and errors come from its own subparser either way, and
+    building the other eleven would cost every command-line start a few
+    milliseconds."""
     parser = _Parser(prog="mnmap", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, word: bool = True,
-            flags: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    named = [spec for spec in _COMMANDS if spec[0] == command]
+    for name, help_text, arguments in named or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        if word:
-            p.add_argument("word", help="word in the token grammar, e.g. 's1 s2^-1'")
-        for flag in flags:
-            if flag == "--flavor":
-                p.add_argument("--flavor", default=words.CLASSICAL,
-                               choices=(words.CLASSICAL, words.CYLINDRICAL,
-                                        words.VCB))
-            else:
-                p.add_argument(flag, type=int, required=True)
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        return p
-
-    add("reduce", "free-reduce a word", flags=("--n", "--flavor"))
-    add("perm", "underlying strand permutation", flags=("--n", "--flavor"))
-    add("pk", "project a pure word on n+1 strands to a cylindrical word",
-        flags=("--n", "--k"))
-    add("fd", "stabilize a cylindrical word into the virtual group",
-        flags=("--n", "--d"))
-    add("rho", "matrix of a word under the representation",
-        flags=("--n", "--flavor"))
-    add("burau", "unreduced Burau matrix of a classical word", flags=("--n",))
-    add("mn", "matrix of a pure word on n+1 strands under the composite map",
-        flags=("--n", "--k", "--d"))
-    trivial = add("trivial", "decide the word problem (exit 1 if "
-                  "nontrivial)", flags=("--n",))
-    trivial.add_argument("--max-steps", type=int,
-                         default=reps.DEFAULT_STEP_CAP,
-                         help="handle-reduction step cap; exit 3 if a handle "
-                         "is left after that many steps (default %(default)s)")
-    add("verify-thm1", "push the lifted Burau-kernel witness through the "
-        "composite map", word=False, flags=("--d",))
-    add("verify-thm2", "composite image of sigma_k^-2m on 2m+1 strands",
-        word=False, flags=("--m", "--k"))
-    add("search", "exhaustive kernel search over supported generators",
-        word=False, flags=("--n", "--k", "--d", "--max-len"))
-    add("defect", "letter-wise image of the canceling pair "
-        "sigma_i sigma_i^-1", word=False, flags=("--i", "--k", "--n", "--d"))
+        for argument in arguments:
+            p.add_argument(argument, **_ARGUMENTS.get(argument, _REQUIRED_INT))
     return parser
+
+
+def _dumps(obj) -> str:
+    import json  # only output that needs it pays for the import
+    return json.dumps(obj)
 
 
 def _emit_word(w: words.Word, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"flavor": w.flavor.group, "n": w.n,
-                           "word": str(w)})
+        return _dumps({"flavor": w.flavor.group, "n": w.n, "word": str(w)})
     return str(w)
 
 
 def _emit_matrix(matrix, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(matrix.to_json_obj())
+        return _dumps(matrix.to_json_obj())
     return str(matrix)
 
 
@@ -96,7 +109,7 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         w = words.parse_word(args.word, words.Flavor(args.flavor, args.n))
         perm = w.permutation()
         if fmt == "json":
-            return 0, json.dumps({"images": list(perm.images)})
+            return 0, _dumps({"images": list(perm.images)})
         return 0, str(perm)
     if args.command == "pk":
         w = words.parse_word(args.word, words.classical(args.n + 1))
@@ -116,7 +129,7 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
     if args.command == "trivial":
         w = words.parse_word(args.word, words.classical(args.n))
         trivial = reps.is_trivial_braid(w, max_steps=args.max_steps)
-        out = json.dumps(trivial) if fmt == "json" else str(trivial).lower()
+        out = _dumps(trivial) if fmt == "json" else str(trivial).lower()
         return (0 if trivial else 1), out
     if args.command == "verify-thm1":
         report = kernel.verify_theorem1(args.d)
@@ -128,10 +141,10 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         results = kernel.search_kernel(args.n, args.k, args.d, args.max_len)
         code = 0 if all(r.verified for r in results) else 1
         if fmt == "json":
-            return code, json.dumps([{"word": str(r.word),
-                                      "verified": r.verified,
-                                      "freely_trivial": r.freely_trivial}
-                                     for r in results])
+            return code, _dumps([{"word": str(r.word),
+                                  "verified": r.verified,
+                                  "freely_trivial": r.freely_trivial}
+                                 for r in results])
         return code, "\n".join(str(r.word) for r in results)
     if args.command == "defect":
         matrix = maps.cancellation_defect(args.i, args.k, args.n, args.d)
@@ -143,14 +156,16 @@ def _emit_report(report: kernel.VerificationReport, fmt: str) -> tuple[int, str]
     code = 0 if report.passed else 1
     fields = report.to_json_obj()
     if fmt == "json":
-        return code, json.dumps(fields)
+        return code, _dumps(fields)
     return code, "\n".join(
-        f"{key}: {value if isinstance(value, str) else json.dumps(value)}"
+        f"{key}: {value if isinstance(value, str) else _dumps(value)}"
         for key, value in fields.items())
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         code, output = _run(args)

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 from helpers import random_pure_word, random_word
 from mnmap import kernel, maps, reps, words
-from mnmap.cli import main
+from mnmap.cli import UsageError, _COMMANDS, _build_parser, main
 from mnmap.laurent import MAX_DIMENSION, PolyMatrix
 from mnmap.maps import mn_map
 from mnmap.reps import rho_word
@@ -221,6 +223,56 @@ class TestWordCommandPins:
         assert (code, err) == (0, "")
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.PINS[command, fmt]
+
+
+def subparsers(parser):
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+class TestParserSurface:
+    """A command line whose first argument names a subcommand builds that
+    subparser alone; every other command line builds them all.  Compared
+    in process with the full build, since argparse's wording differs
+    between Python versions."""
+
+    NAMES = [name for name, _, _ in _COMMANDS]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_one_subparser_matches_the_full_build(self, name):
+        alone = subparsers(_build_parser(name))
+        full = subparsers(_build_parser())[name]
+        assert list(alone) == [name]
+        assert alone[name].format_help() == full.format_help()
+        assert alone[name].format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"],
+                                      ["--n", "3", "reduce", "s1"]])
+    def test_no_subcommand_named_gets_the_full_parser_error(self, capsys,
+                                                            argv):
+        with pytest.raises(UsageError) as raised:
+            _build_parser().parse_args(argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {raised.value}\n")
+        if argv:  # an invalid choice lists every subcommand
+            assert all(name in err for name in self.NAMES)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["reduce", "--help"]])
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        full = _build_parser()
+        expected = (subparsers(full)[argv[0]] if len(argv) == 2
+                    else full).format_help()
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_reads_sys_argv_like_the_console_script(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["mnmap", "reduce", "--n", "3",
+                                          "s1 s2 s2^-1"])
+        assert main() == 0
+        assert capsys.readouterr() == ("s1\n", "")
 
 
 class TestErrors:

@@ -17,7 +17,7 @@ from mnmap.maps import (
     project_pk,
     stabilize_fd,
 )
-from mnmap.reps import rho_word
+from mnmap.reps import is_trivial_braid, rho_word
 from mnmap.words import (
     MAX_WORD_LETTERS,
     Word,
@@ -288,6 +288,38 @@ class TestMnMap:
             w = Word(classical(n + 1), (u * u.inverse()).letters)
             assert (project_pk(w.free_reduce(), n + 1)
                     == project_pk(w, n + 1).free_reduce())
+
+
+class TestShortKernel:
+    """The kernel the case table and zeta's finite order give at every k:
+    rho(f_d(zeta)) has order exactly n, sigma_{k-1} maps to zeta^-1 and
+    sigma_k^-1 to zeta, so sigma_{k-1}^{2n} and sigma_k^{-2n} map to the
+    identity although handle reduction calls them nontrivial.  Neither fact
+    is checked against the paper's definition of p_k."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zeta_image_has_order_exactly_n(self, n, d):
+        image = rho_word(stabilize_fd(parse_word("z", cylindrical(n)), d))
+        power = PolyMatrix.identity(n)
+        for _ in range(n - 1):
+            power = power * image
+            assert not power.is_identity()
+        assert (power * image).is_identity()
+
+    def test_distinguished_powers_are_nontrivial_kernel_elements(self):
+        cases = []
+        for n in range(2, 6):
+            for k in range(1, n + 2):
+                for index, exponent in ((k - 1, 2 * n), (k, -2 * n)):
+                    if 1 <= index <= n:
+                        w = parse_word(f"s{index}^{exponent}",
+                                       classical(n + 1))
+                        cases += [(w, k, d) for d in (1, 2, 3)]
+        assert len(cases) == 84
+        assert [(str(w), k, d) for w, k, d in cases
+                if not mn_map(w, k, d).is_identity()
+                or is_trivial_braid(w)] == []
 
 
 class TestCancellationDefect:

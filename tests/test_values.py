@@ -154,13 +154,34 @@ def test_keyword_construction():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    """In a fresh interpreter, importing the CLI pulls in neither module:
-    each costs several milliseconds on every command-line start."""
+    """In a fresh interpreter, importing the CLI pulls in none of these
+    modules: each costs several milliseconds on every command-line start,
+    and json is imported only by the output that needs it."""
     src = Path(mnmap.__file__).resolve().parents[1]
     code = ("import sys; before = set(sys.modules); import mnmap.cli; "
-            "print(sorted({'dataclasses', 'inspect'} "
+            "print(sorted({'dataclasses', 'inspect', 'json'} "
             "& (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-E", "-s", "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, out, loads_json", [
+    (["reduce", "--n", "3", "s1"], "s1\n", False),
+    (["reduce", "--n", "3", "--format", "json", "s1"],
+     '{"flavor": "classical", "n": 3, "word": "s1"}\n', True),
+    # the text report formats its non-string values as JSON
+    (["verify-thm2", "--m", "1", "--k", "1"],
+     'witness: s1^-1 s1^-1\nparams: {"m": 1, "k": 1, "d": 1}\n'
+     "image_is_identity: true\nwitness_nontrivial: true\npassed: true\n",
+     True),
+])
+def test_cli_imports_json_only_for_output_that_needs_it(argv, out,
+                                                       loads_json):
+    src = Path(mnmap.__file__).resolve().parents[1]
+    code = (f"import sys; from mnmap.cli import main; code = main({argv!r}); "
+            "print(code, 'json' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == (out, f"0 {loads_json}\n")
