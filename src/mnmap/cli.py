@@ -65,6 +65,12 @@ _ARGUMENTS = {
 }
 _REQUIRED_INT = {"type": int, "required": True}
 
+# The description that the --help of search and verify-thm2 shows.
+_WORD_MAP_NOTE = (
+    "The projection table is letter-wise and not multiplicative at "
+    "sigma_{k-1}, sigma_k, so search hits and the theorem 2 witness are in "
+    "the kernel of the word map, not of a homomorphism on PB_{n+1}.")
+
 
 def _build_parser(command: str | None = None) -> _Parser:
     """The top-level parser, with a subparser for `command` alone when it
@@ -77,7 +83,9 @@ def _build_parser(command: str | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     named = [spec for spec in _COMMANDS if spec[0] == command]
     for name, help_text, arguments in named or _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text,
+                           description=_WORD_MAP_NOTE if name in (
+                               "search", "verify-thm2") else None)
         for argument in arguments:
             p.add_argument(argument, **_ARGUMENTS.get(argument, _REQUIRED_INT))
     return parser

@@ -138,7 +138,9 @@ def verify_theorem1(d: int) -> VerificationReport:
 def verify_theorem2(m: int, k: int) -> VerificationReport:
     """For n = 2m, the pure braid sigma_k^-2m on n+1 strands projects to the
     2m-th power of the cyclic shift, whose matrix has order n: the composite
-    with d = 1 kills it."""
+    with d = 1 kills it.  The projection table is letter-wise and not
+    multiplicative at sigma_{k-1}, sigma_k, so the witness is in the kernel
+    of the word map, not of a homomorphism on PB_{n+1}."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if not 1 <= k <= 2 * m:
@@ -211,7 +213,8 @@ def _is_hit(image: tuple[Letter, ...], n: int) -> bool:
     of its concatenated stabilized letter images: an empty image is a hit
     without a walk, since each generator image times its inverse image is
     exactly the identity; any other is decided by reps.rho_word at
-    dimension n, the exact evaluator every caller uses."""
+    dimension n, the exact evaluator every caller uses, which reduces the
+    image further modulo far commutation before its walk."""
     return not image or reps.rho_word(
         Word._trusted(vcb(n), image)).is_identity()
 
@@ -269,7 +272,9 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     classical generators on n+1 strands and return those the composite map
     sends to the identity, ordered by (length, lexicographic letter order).
     A candidate's image is rho of the concatenated stabilized letter
-    images, which is mn_map applied letter-wise.
+    images, which is mn_map applied letter-wise.  The projection table is
+    letter-wise and not multiplicative at sigma_{k-1}, sigma_k, so a hit is
+    in the kernel of the word map, not of a homomorphism on PB_{n+1}.
 
     Words are rank sequences into the alphabet, which alternates sigma_i,
     sigma_i^-1 (so the inverse of rank r is r ^ 1).  Every letter is a
@@ -296,9 +301,9 @@ def search_kernel(n: int, k: int, d: int, max_len: int,
     The stored prefixes are freed once the candidates are collected.  The
     candidates are sorted by rank sequence, which puts a prefix before its
     extensions: the depth-first, lexicographic order.  The exact result
-    alone decides a hit, under the rule rho_word uses: a candidate's image
-    is rho of the free reduction of its concatenated stabilized letter
-    images.  reduced holds that free reduction for each of the last
+    alone decides a hit, on the free reduction of the candidate's
+    concatenated stabilized letter images, which has the same image under
+    rho.  reduced holds that free reduction for each of the last
     candidate's prefixes, cut back to the common prefix of consecutive
     candidates, so each candidate reduces (words.reduce_onto) only its
     letters' images past that prefix.  A candidate whose reduction is

@@ -178,17 +178,35 @@ Rows = dict[int, tuple[int, int]]
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
+# _bias's cache: for each slot width W, 2^(W-1) in each of the most slots
+# asked for so far.  Fewer slots are a right shift of it.
+_BIASES: dict[int, int] = {}
+
+
+def _bias(width: int, slots: int) -> int:
+    """2^(width-1) in each of slots width-bit slots: the cached int for
+    width shifted down, or built from bytes once when slots exceeds it."""
+    bias = _BIASES.get(width, 0)
+    extra = bias.bit_length() - width * slots
+    if extra >= 0:
+        return bias >> extra
+    bias = _BIASES[width] = int.from_bytes(
+        (bytes((width >> 3) - 1) + b"\x80") * slots, "little")
+    return bias
+
+
 def _unpack(v: int, width: int) -> list[int]:
     """The signed width-bit slots of v, lowest first, up to the highest
     nonzero one, exact while each is below 2^(width-1) in magnitude: adding
-    2^(width-1) to every slot makes them nonnegative bytes to cut apart.
-    At W = 64 on a little-endian machine, flipping each slot's top bit
-    back leaves every slot in two's complement, read in one C-level pass."""
+    2^(width-1) to every slot (_bias) makes them nonnegative bytes to cut
+    apart.  At W = 64 on a little-endian machine, flipping each slot's top
+    bit back leaves every slot in two's complement, read in one C-level
+    pass."""
     half = 1 << (width - 1)
     if -half < v < half:
         return [v]
     size, slots = width >> 3, v.bit_length() // width + 1
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    bias = _bias(width, slots)
     if width == 64 and _LITTLE_ENDIAN:
         return memoryview(((v + bias) ^ bias).to_bytes(
             slots * size, "little")).cast("q").tolist()
@@ -200,9 +218,9 @@ def _unpack(v: int, width: int) -> list[int]:
 def _pack(coeffs: list[int], width: int) -> int:
     """The int whose signed width-bit slots are coeffs, lowest first."""
     size, half = width >> 3, 1 << (width - 1)
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * len(coeffs), "little")
-    return int.from_bytes(b"".join((c + half).to_bytes(size, "little")
-                                   for c in coeffs), "little") - bias
+    biased = int.from_bytes(b"".join((c + half).to_bytes(size, "little")
+                                     for c in coeffs), "little")
+    return biased - _bias(width, len(coeffs))
 
 
 def _to_rows(p: LaurentPoly, width: int) -> Rows:
@@ -216,9 +234,10 @@ def _to_rows(p: LaurentPoly, width: int) -> Rows:
 
 def _from_rows(entry: Rows, width: int, t_exp: int = 0, s_exp: int = 0
                ) -> LaurentPoly:
-    """The polynomial of packed rows, times t^t_exp s^s_exp."""
+    """The polynomial of packed rows, times t^t_exp s^s_exp: s_exp is
+    added once per slice, t_exp once per slice by enumerate's start."""
     return LaurentPoly.from_nonzero({
-        (a, s + s_exp): c for s, (lo, v) in entry.items()
+        (a, b): c for s, (lo, v) in entry.items() for b in [s + s_exp]
         for a, c in enumerate(_unpack(v, width), lo + t_exp) if c})
 
 # Matrices are dense, n^2 entries: the dimension is checked against this

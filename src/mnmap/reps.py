@@ -31,6 +31,7 @@ from .laurent import (
     ZERO,
     PolyMatrix,
     Rows,
+    _bias,
     _from_rows,
     _pack,
     _unpack,
@@ -87,12 +88,12 @@ Column = dict[int, tuple[int, int]]
 
 def _half_masks(width: int, slots: int) -> tuple[int, int]:
     """The range test's masks for slices of up to slots W-bit slots: B,
-    2^(W/2) in each slot, and H, bits W/2+1 .. W-1 of each slot."""
-    size, half = width >> 3, 1 << (width >> 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
-    high = int.from_bytes(((1 << width) - (half << 1)).to_bytes(
-        size, "little") * slots, "little")
-    return bias, high
+    2^(W/2) in each slot, and H, bits W/2+1 .. W-1 of each slot, both
+    shifted from laurent's bias of 2^(W-1) in each slot: H is 2 (bias - B),
+    2^W - 2^(W/2+1) in each slot."""
+    bias = _bias(width, slots)
+    half = bias >> ((width >> 1) - 1)
+    return half, (bias - half) << 1
 
 
 def _fits_half(v: int, width: int, masks: tuple[int, int] | None = None
@@ -145,20 +146,26 @@ def _cross(x: Column, y: Column, e: int, dt: int, shift: int, width: int
            ) -> Column:
     """x + (1 - t^e) t^dt s^ds y for e = +-1 on whole columns, one slice at
     a time, with shift = ds n: t^dt s^ds moves y's t_lo by dt and its keys
-    by shift, (1 - t) y is vy - (vy << width) at that t_lo, and
-    (1 - t^-1) y is the negation one lower."""
+    by shift.  (t - 1) y is (vy << width) - vy at y's t_lo, and (1 - t^e) y
+    is its negation for e = 1 and itself one lower for e = -1, so the sign
+    picks the operator that adds it to x once per column."""
     out = dict(x)
+    combine = operator.sub if e == 1 else operator.add
+    if e == -1:
+        dt -= 1
     for key, (lo, vy) in y.items():
         key += shift
-        if e == 1:
-            vz, lo = vy - (vy << width), lo + dt
-        else:
-            vz, lo = (vy << width) - vy, lo + dt - 1
-        lo_x, vx = out.get(key, (lo, 0))
+        lo += dt
+        vz = (vy << width) - vy
+        old = out.get(key)
+        if old is None:
+            out[key] = (lo, combine(0, vz))
+            continue
+        lo_x, vx = old
         if lo_x <= lo:
-            v, lo = vx + (vz << width * (lo - lo_x)), lo_x
+            v, lo = combine(vx, vz << width * (lo - lo_x)), lo_x
         else:
-            v = (vx << width * (lo_x - lo)) + vz
+            v = combine(vx << width * (lo_x - lo), vz)
         if v:
             out[key] = (lo, v)
         else:
@@ -218,13 +225,67 @@ def rho_walk(n: int, letters: Iterable[Letter]) -> RhoState:
     return width, records
 
 
+def _reduce_far(letters: Iterable[Letter], n: int) -> tuple[Letter, ...]:
+    """The letters reduced modulo far commutation, in one pass: a sigma or
+    tau letter x at index i cancels the latest surviving earlier letter at
+    index i if that is x^-1 and no letter at index i-1 or i+1 and no zeta
+    survives between them; zeta^e cancels the latest surviving zeta^-e if
+    no sigma or tau survives between them.  Images of letters whose indices
+    differ by two or more commute exactly (their 2 x 2 blocks share no row
+    or column), and each image times its inverse image is exactly the
+    identity, so rho of the result is rho of the letters.  Adjacent pairs
+    are the case with nothing between, so the result is never longer than
+    the free reduction.
+
+    O(1) work per letter: out holds the letters passed so far, None where
+    cancelled; last[i] is the position of the latest survivor at index i,
+    or -1 (slots 0 and n stand beside the indices 1 .. n-1), and below[p]
+    the survivor at p's index that was latest before p, which lives as
+    long as p does, since a letter before p can only cancel one before p.
+    top is the latest surviving zeta's position and crossings the number
+    of sigma and tau survivors after it; zetas holds the (top, crossings)
+    that each surviving zeta replaced."""
+    out: list[Letter | None] = []
+    last = [-1] * (n + 1)
+    below: list[int] = []
+    zetas: list[tuple[int, int]] = []
+    top, crossings = -1, 0
+    for letter in letters:
+        kind, i, e = letter
+        if kind == ZETA:
+            if top >= 0 and not crossings and out[top][2] != e:
+                out[top] = None
+                top, crossings = zetas.pop()
+                continue
+            zetas.append((top, crossings))
+            top, crossings = len(out), 0
+            below.append(-1)  # keeps below aligned with out
+        else:
+            p = last[i]
+            if p > top and last[i - 1] < p and last[i + 1] < p:
+                other = out[p]
+                if other[2] != e and other[0] == kind:
+                    out[p] = None
+                    last[i] = below[p]
+                    crossings -= 1
+                    continue
+            below.append(p)
+            last[i] = len(out)
+            crossings += 1
+        out.append(letter)
+    return tuple(filter(None, out))
+
+
 def rho_word(w: Word) -> PolyMatrix:
     """Left-to-right product of the letter images; dimension = strand count.
-    It walks w.free_reduce() (rho_walk) and decodes the walk's state: each
-    letter's image times its inverse's is exactly the identity, so
-    cancelling the pairs leaves the product unchanged and saves their
-    crossings (a projected sigma_{k-1}^-1 sigma_k is delta_c delta_c^-1,
-    2(n-1) crossings that cancel).  The kernel search decides its
+    It walks w reduced modulo far commutation (_reduce_far, then rho_walk)
+    and decodes the walk's state: images of letters two or more indices
+    apart commute, and each letter's image times its inverse's is exactly
+    the identity, so cancelling a pair with only far letters between
+    leaves the product unchanged and saves its crossings (a projected
+    sigma_{k-1}^-1 sigma_k is delta_c delta_c^-1, 2(n-1) crossings that
+    cancel, and in a product of conjugates u sigma_i^2 u^-1 a letter often
+    meets its inverse across far letters).  The kernel search decides its
     candidates with it, on free reductions built by words.reduce_onto.
 
     Computed by column operations: right-multiplying by a generator image
@@ -256,7 +317,8 @@ def rho_word(w: Word) -> PolyMatrix:
     that laurent._from_rows decodes, and each entry becomes a LaurentPoly
     once, times its column's factor.
     """
-    width, records = rho_walk(w.n, w.free_reduce())
+    check_dimension(w.n)  # before _reduce_far lays out n + 1 slots
+    width, records = rho_walk(w.n, _reduce_far(w.letters, w.n))
     n = len(records)
     polys = []
     for col, _, a, b in records:

@@ -75,6 +75,46 @@ def cancelling_word(rng: random.Random, flavor: Flavor, length: int) -> Word:
     return p * u * u.inverse() * q
 
 
+def conjugate_product(rng: random.Random, flavor: Flavor, count: int,
+                      conj_len: int) -> Word:
+    """A product of count conjugates u sigma_i^+-2 u^-1, |u| <= conj_len,
+    u over the flavor's letters: a pure word, whose letters often meet
+    their inverses across letters far from them."""
+    word = Word(flavor)
+    for _ in range(count):
+        u = random_word(rng, flavor, rng.randint(0, conj_len))
+        core = (sigma(rng.randint(1, flavor.n - 1), rng.choice((1, -1))),) * 2
+        word = word * u * Word(flavor, core) * u.inverse()
+    return word
+
+
+def far_pair(letters: tuple[Letter, ...]) -> tuple[int, int] | None:
+    """The first (p, q) by opening position p, then q, such that letter q
+    is the inverse of letter p and every letter between commutes with it
+    as a generator of the free partially commutative group: sigma and tau
+    at indices two or more apart, nothing with zeta."""
+    for p, x in enumerate(letters):
+        for q in range(p + 1, len(letters)):
+            y = letters[q]
+            if y == x.inverse():
+                return p, q
+            if ZETA in (x.kind, y.kind) or abs(x.index - y.index) < 2:
+                break
+    return None
+
+
+def reference_reduce_far(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """letters with far_pair's pair deleted until none is left: reduction
+    in the free partially commutative group, opening pairs left to right,
+    whose result is unique up to commuting far letters (Wrathall 1988), so
+    its length is that of any full reduction."""
+    letters = tuple(letters)
+    while (pair := far_pair(letters)) is not None:
+        p, q = pair
+        letters = letters[:p] + letters[p + 1:q] + letters[q + 1:]
+    return letters
+
+
 def relation_identities(n: int) -> list[tuple[str, Word, Word]]:
     """All defining relations of the virtual cylindrical group on n strands,
     as pairs of words whose matrices must agree exactly."""
@@ -100,6 +140,13 @@ def relation_identities(n: int) -> list[tuple[str, Word, Word]]:
                                w(sigma(i), sigma(j)), w(sigma(j), sigma(i))))
             identities.append((f"far tau {i},{j} n={n}",
                                w(tau(i), tau(j)), w(tau(j), tau(i))))
+        for j in range(1, n):
+            if abs(i - j) < 2:
+                continue
+            for a, b in product((1, -1), repeat=2):
+                identities.append((
+                    f"far sigma^{a} tau^{b} {i},{j} n={n}",
+                    w(sigma(i, a), tau(j, b)), w(tau(j, b), sigma(i, a))))
         identities.append((f"tau^2 {i} n={n}", w(tau(i), tau(i)), w()))
     for i in range(2, n):
         identities.append((f"zeta shift sigma {i} n={n}",

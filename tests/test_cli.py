@@ -267,6 +267,16 @@ class TestParserSurface:
         assert raised.value.code == 0
         assert capsys.readouterr() == (expected, "")
 
+    @pytest.mark.parametrize("name", ["search", "verify-thm2"])
+    def test_kernel_commands_say_what_kernel(self, capsys, name):
+        # the letter-wise projection table is no homomorphism on PB_{n+1}
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert ("not multiplicative at sigma_{k-1}, sigma_k" in out
+                and "kernel of the word map, not of a homomorphism on "
+                "PB_{n+1}" in out)
+
     def test_reads_sys_argv_like_the_console_script(self, capsys,
                                                      monkeypatch):
         monkeypatch.setattr(sys, "argv", ["mnmap", "reduce", "--n", "3",

@@ -1,5 +1,6 @@
 import random
 import sys
+import timeit
 import tracemalloc
 from itertools import product
 
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 from helpers import (
     GROUP_KINDS,
     cancelling_word,
+    conjugate_product,
+    far_pair,
     random_letter,
     random_word,
     reference_artin,
     reference_handle_reduce,
+    reference_reduce_far,
     reference_rho_word,
     relation_identities,
     relation_rewritten_trivial,
@@ -44,6 +48,7 @@ from mnmap.reps import (
     rho_word,
 )
 from mnmap.words import (
+    CLASSICAL,
     MAX_WORD_LETTERS,
     SIGMA,
     TAU,
@@ -311,9 +316,10 @@ def planted_word(rng: random.Random, flavor, length: int) -> Word:
 
 
 class TestReducedWalk:
-    """rho_word walks w.free_reduce(): each generator image times its
-    inverse's is exactly the identity, so the cancelled pairs change no
-    matrix, and rho_walk is handed only the letters that are left."""
+    """rho_word walks w reduced modulo far commutation, never longer than
+    w.free_reduce(): each generator image times its inverse's is exactly
+    the identity, so the cancelled pairs change no matrix, and rho_walk is
+    handed only the letters that are left."""
 
     @staticmethod
     def words() -> list[Word]:
@@ -358,8 +364,118 @@ class TestReducedWalk:
         monkeypatch.setattr(reps, "rho_walk", spy)
         for w in self.words():
             rho_word(w)
-            assert walked.pop() == w.free_reduce().letters, str(w)
+            letters = walked.pop()
             assert not walked
+            assert letters == reps._reduce_far(w.letters, w.n), str(w)
+            assert len(letters) == len(reference_reduce_far(w.letters))
+            assert far_pair(letters) is None, str(w)
+            assert len(letters) <= len(w.free_reduce()), str(w)
+
+
+def far_words() -> list[Word]:
+    """Seeded words of all three flavors on 2..8 strands: random, p u u^-1
+    q, and products of conjugates u sigma_i^+-2 u^-1."""
+    rng = random.Random(2610)
+    words = []
+    for flavor in (classical, cylindrical, vcb) * 12:
+        f = flavor(rng.randint(2, 8))
+        words += [random_word(rng, f, rng.randint(0, 60)),
+                  cancelling_word(rng, f, rng.randint(0, 80)),
+                  conjugate_product(rng, f, rng.randint(1, 8), 3)]
+    return words
+
+
+class TestFarReduction:
+    """rho_word reduces its word modulo far commutation before the walk
+    (reps._reduce_far): a sigma or tau letter cancels the latest earlier
+    inverse at its index across letters at indices two or more away, and
+    zeta^e cancels the latest zeta^-e when no sigma or tau is left between
+    them."""
+
+    WORDS = far_words()
+
+    @pytest.mark.parametrize("text, n, reduced", [
+        ("s1 s3 s1^-1", 5, "s3"),
+        ("t1 s3^-1 t4 t1^-1", 6, "s3^-1 t4"),
+        ("s4 s2 s4^-1 s2^-1", 6, ""),
+        ("s1 s1 s3 s1^-1", 5, "s1 s3"),
+        ("s1 s3 s1 s1^-1 s3^-1 s1^-1", 5, ""),
+        ("s1 s2 s1^-1", 5, "s1 s2 s1^-1"),  # a neighbour blocks
+        ("s2 t2 s2^-1", 5, "s2 t2 s2^-1"),  # so does the other kind
+        ("s2 s2", 5, "s2 s2"),
+        ("s1 z s1^-1", 5, "s1 z s1^-1"),  # zeta blocks
+        ("s1^-1 s4 t2^-1 s4^-1 s1", 6, "s1^-1 t2^-1 s1"),
+        ("z s2 z^-1", 4, "z s2 z^-1"),  # a crossing blocks zeta
+        ("z t3 t1 t3^-1 z^-1", 5, "z t1 z^-1"),
+        ("z^-1 s1 s1^-1 z", 3, ""),
+        ("z s1 z z^-1 s1^-1 z^-1", 3, ""),
+        ("z z s1 z^-1", 3, "z z s1 z^-1")])
+    def test_rule(self, text, n, reduced):
+        w = parse_word(text, vcb(n))
+        assert reps._reduce_far(w.letters, n) == \
+            parse_word(reduced, vcb(n)).letters
+        assert rho_word(w) == reference_rho_word(w) == letter_product(w)
+
+    def test_words_reduce_past_free_reduction(self):
+        kinds = {(letter.kind, letter.sign) for w in self.WORDS for letter in w}
+        assert kinds == {(kind, sign) for kind in "stz" for sign in (1, -1)}
+        shorter = sum(len(reps._reduce_far(w.letters, w.n))
+                      < len(w.free_reduce()) for w in self.WORDS)
+        assert shorter > len(self.WORDS) // 4
+
+    @pytest.mark.parametrize("start_width", [64, 8])
+    def test_matches_reference_walk(self, monkeypatch, start_width):
+        monkeypatch.setattr(reps, "_START_WIDTH", start_width)
+        for w in self.WORDS:
+            assert rho_word(w) == reference_rho_word(w), str(w)
+
+    def test_reduced_modulo_far_commutation(self):
+        # no pair is left, the length is that of a full reduction in the
+        # free partially commutative group, and nothing is longer than the
+        # free reduction; reducing again changes nothing
+        for w in self.WORDS:
+            r = reps._reduce_far(w.letters, w.n)
+            assert far_pair(r) is None, str(w)
+            assert len(r) == len(reference_reduce_far(w.letters)), str(w)
+            assert len(r) <= len(w.free_reduce()), str(w)
+            assert reps._reduce_far(r, w.n) == r, str(w)
+
+    def test_classical_word_is_its_reduction(self):
+        for w in self.WORDS:
+            if w.flavor.group == CLASSICAL:
+                r = Word(w.flavor, reps._reduce_far(w.letters, w.n))
+                assert is_trivial_braid(w * r.inverse()), str(w)
+
+    def test_long_word_of_far_letters_in_one_pass(self):
+        # 100,000 letters at indices 1, 3, 5, 7 (sigma at 1 and 5, tau at 3
+        # and 7), then their inverses in another order: every letter meets
+        # its inverse across far letters only, so the whole word cancels.
+        # The letters are read once, from an iterator, and the pass takes
+        # about as long as the free reduction, which leaves most of them
+        # (a quadratic pass would take hours here)
+        rng = random.Random(200_000)
+        kinds = {1: SIGMA, 3: TAU, 5: SIGMA, 7: TAU}
+        half = [Letter(kinds[i], i, 1) for i in rng.choices(list(kinds),
+                                                             k=100_000)]
+        back = [letter.inverse() for letter in half]
+        rng.shuffle(back)
+        w = Word(vcb(9), tuple(half + back))
+        reads = []
+
+        def letters():
+            for letter in w.letters:
+                reads.append(1)
+                yield letter
+
+        assert reps._reduce_far(letters(), 9) == ()
+        assert len(reads) == len(w) == 200_000
+        assert len(w.free_reduce()) > 100_000
+        timings = {}
+        for name, call in (("far", lambda: reps._reduce_far(w.letters, 9)),
+                           ("free", w.free_reduce)):
+            timings[name] = min(timeit.repeat(call, number=1, repeat=3))
+        assert timings["far"] < 10 * timings["free"], timings
+        assert rho_word(w).is_identity()
 
 
 def letter_product(w: Word) -> PolyMatrix:
@@ -533,6 +649,51 @@ class TestPackedRows:
                                    width) == coeffs
 
 
+def byte_half_masks(width: int, slots: int) -> tuple[int, int]:
+    """The range test's masks built slot by slot from bytes: B, 2^(W/2) in
+    each slot, and H, bits W/2+1 .. W-1 of each slot."""
+    size, half = width >> 3, 1 << (width >> 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+    high = int.from_bytes(((1 << width) - (half << 1)).to_bytes(
+        size, "little") * slots, "little")
+    return bias, high
+
+
+class TestCachedBias:
+    """The codec keeps one bias, 2^(W-1) in each slot, per width, sized to
+    the most slots asked for so far; fewer slots are a right shift of it,
+    and the range test's masks are shifted from it."""
+
+    # slot counts below, at and past the cached bias, in turn
+    SLOTS = (3, 1, 3, 7, 2, 7, 12, 5, 1)
+
+    @pytest.mark.parametrize("width", range(8, 257, 8))
+    def test_round_trip_as_the_cache_grows_and_shifts(self, monkeypatch,
+                                                      width):
+        monkeypatch.setattr(laurent, "_BIASES", {})
+        top = (1 << (width - 1)) - 1
+        most = 0
+        for slots in self.SLOTS:
+            for last in (top, -top):
+                coeffs = [(top, 0, -top)[i % 3] for i in range(slots - 1)]
+                coeffs.append(last)
+                v = laurent._pack(coeffs, width)
+                assert laurent._unpack(v, width) == coeffs
+            most = max(most, slots)
+            assert laurent._BIASES[width].bit_length() == most * width
+            assert laurent._bias(width, slots) == int.from_bytes(
+                (bytes((width >> 3) - 1) + b"\x80") * slots, "little")
+        assert laurent._pack([0] * 4, width) == 0
+        assert laurent._bias(width, 0) == 0
+
+    @pytest.mark.parametrize("width", range(8, 257, 8))
+    def test_masks_match_byte_built(self, monkeypatch, width):
+        monkeypatch.setattr(laurent, "_BIASES", {})
+        for slots in self.SLOTS:
+            assert reps._half_masks(width, slots) == \
+                byte_half_masks(width, slots)
+
+
 def range_rows(width: int) -> list[list[int]]:
     """Coefficient rows for the range test at W-bit slots, h = 2^(W/2):
     single slots and a slot at each edge of [-h, h) at the bottom, in the
@@ -552,6 +713,23 @@ def range_rows(width: int) -> list[list[int]]:
         row[rng.randrange(len(row))] = c
         rows.append(row)
     return rows
+
+
+def walk_matrix(state) -> PolyMatrix:
+    """The matrix of a walk state (reps.RhoState), each entry summed from
+    its unpacked slots as LaurentPoly monomials times its column's factor."""
+    width, records = state
+    n = len(records)
+    columns = []
+    for col, _, a, b in records:
+        entries = [LaurentPoly() for _ in range(n)]
+        for key, (lo, v) in col.items():
+            s, i = divmod(key, n)
+            entries[i] = entries[i] + LaurentPoly({
+                (lo + a + j, s + b): c
+                for j, c in enumerate(laurent._unpack(v, width))})
+        columns.append(entries)
+    return PolyMatrix(list(zip(*columns)))
 
 
 class TestRangeTest:
@@ -629,11 +807,11 @@ class TestRangeTest:
             assert bound == max(h, *map(abs, coeffs))
 
     def test_rebound_decodes_only_slices_that_fail(self, monkeypatch):
-        # a 400-letter Burau word on 8 strands re-bounds 30 columns at
-        # W = 64 and never widens; each re-bound builds one pair of masks,
-        # sized to its column's longest slice, and tests every slice with
-        # it; every slice decoded on the way has a slot out of
-        # [-2^(W/2), 2^(W/2))
+        # the walk of a 400-letter Burau word on 8 strands, freely reduced,
+        # re-bounds 30 columns at W = 64 and never widens; each re-bound
+        # builds one pair of masks, sized to its column's longest slice,
+        # and tests every slice with it; every slice decoded on the way has
+        # a slot out of [-2^(W/2), 2^(W/2))
         rebounds, built, tested, decoded, widening = [], [], [], [], []
         repack, unpack = reps._repack, reps._unpack
         half_masks, fits = reps._half_masks, reps._fits_half
@@ -667,7 +845,8 @@ class TestRangeTest:
         monkeypatch.setattr(reps, "_unpack", spy_unpack)
         monkeypatch.setattr(reps, "_fits_half", spy_fits)
         w = random_word(random.Random(8400), classical(8), 400)
-        assert rho_word(w) == reference_rho_word(w)
+        state = reps.rho_walk(8, w.free_reduce())
+        assert walk_matrix(state) == reference_rho_word(w)
         assert len(rebounds) == 30 and {W for W, _ in rebounds} == {64}
         assert built == rebounds
         assert sum(tested) > len(decoded) > 0
