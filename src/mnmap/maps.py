@@ -34,6 +34,7 @@ from .words import (
     Word,
     WordError,
     _check_size,
+    classical,
     cylindrical,
     sigma,
     tau,
@@ -165,16 +166,9 @@ def mn_map(w: Word, k: int, d: int) -> PolyMatrix:
 
 def cancellation_defect(i: int, k: int, n: int, d: int) -> PolyMatrix:
     """Matrix of the letter-wise image of the canceling pair
-    sigma_i sigma_i^-1 (domain on n+1 strands, codomain dimension n).
-    The identity signals multiplicative consistency at letter i; at
-    i in {k-1, k} the images are not mutually inverse and the defect
-    matrix records by how much.
+    sigma_i sigma_i^-1 (domain on n+1 strands, codomain dimension n):
+    mn_map of the pair.  The identity signals multiplicative consistency at
+    letter i; at i in {k-1, k} the images are not mutually inverse and the
+    defect matrix records by how much.
     """
-    check_dimension(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index must be in 1..{n}, got {i}")
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k must be in 1..{n + 1}, got {k}")
-    pair = pk_letter_image(i, 1, k, n) + pk_letter_image(i, -1, k, n)
-    word = Word(cylindrical(n), pair)
-    return rho_word(stabilize_fd(word, d))
+    return mn_map(Word(classical(n + 1), (sigma(i), sigma(i, -1))), k, d)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from itertools import accumulate, product, repeat
 from typing import Iterable
 
 from .laurent import (
@@ -39,7 +38,6 @@ from .laurent import (
 )
 from .words import (
     CLASSICAL,
-    MAX_WORD_LETTERS,
     SIGMA,
     TAU,
     ZETA,
@@ -238,16 +236,14 @@ def _reduce_far(letters: Iterable[Letter], n: int) -> tuple[Letter, ...]:
     the free reduction.
 
     O(1) work per letter: out holds the letters passed so far, None where
-    cancelled; last[i] is the position of the latest survivor at index i,
-    or -1 (slots 0 and n stand beside the indices 1 .. n-1), and below[p]
-    the survivor at p's index that was latest before p, which lives as
-    long as p does, since a letter before p can only cancel one before p.
-    top is the latest surviving zeta's position and crossings the number
-    of sigma and tau survivors after it; zetas holds the (top, crossings)
-    that each surviving zeta replaced."""
+    cancelled; survivors[i] is the stack of positions of the survivors at
+    index i above a -1 (slots 0 and n stand beside the indices 1 .. n-1),
+    since only the latest survivor at an index can cancel.  top is the
+    latest surviving zeta's position and crossings the number of sigma and
+    tau survivors after it; zetas holds the (top, crossings) that each
+    surviving zeta replaced."""
     out: list[Letter | None] = []
-    last = [-1] * (n + 1)
-    below: list[int] = []
+    survivors = [[-1] for _ in range(n + 1)]
     zetas: list[tuple[int, int]] = []
     top, crossings = -1, 0
     for letter in letters:
@@ -259,18 +255,19 @@ def _reduce_far(letters: Iterable[Letter], n: int) -> tuple[Letter, ...]:
                 continue
             zetas.append((top, crossings))
             top, crossings = len(out), 0
-            below.append(-1)  # keeps below aligned with out
         else:
-            p = last[i]
-            if p > top and last[i - 1] < p and last[i + 1] < p:
+            here = survivors[i]
+            p = here[-1]
+            if p > top:
                 other = out[p]
-                if other[2] != e and other[0] == kind:
+                if (other[2] != e and other[0] == kind
+                        and survivors[i - 1][-1] < p
+                        and survivors[i + 1][-1] < p):
                     out[p] = None
-                    last[i] = below[p]
+                    here.pop()
                     crossings -= 1
                     continue
-            below.append(p)
-            last[i] = len(out)
+            here.append(len(out))
             crossings += 1
         out.append(letter)
     return tuple(filter(None, out))
@@ -317,7 +314,7 @@ def rho_word(w: Word) -> PolyMatrix:
     that laurent._from_rows decodes, and each entry becomes a LaurentPoly
     once, times its column's factor.
     """
-    check_dimension(w.n)  # before _reduce_far lays out n + 1 slots
+    check_dimension(w.n)  # before _reduce_far lays out n + 1 stacks
     width, records = rho_walk(w.n, _reduce_far(w.letters, w.n))
     n = len(records)
     polys = []
@@ -359,11 +356,9 @@ def rho_columns_mod(cols: list[list[int]], letters: Iterable[Letter],
     t, t_inv, s, s_inv = units
     cols = list(cols)
     for letter in letters:
-        if letter.kind == ZETA:
-            if letter.sign == 1:
-                cols = [cols[-1]] + cols[:-1]
-            else:
-                cols = cols[1:] + [cols[0]]
+        if letter.kind == ZETA:  # rotate right for zeta, left for zeta^-1
+            e = letter.sign
+            cols = cols[-e:] + cols[:-e]
             continue
         a = letter.index - 1
         b = a + 1
@@ -392,20 +387,18 @@ def burau(w: Word) -> PolyMatrix:
 # Artin action: the faithful action of the braid group on a free group.
 # sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, fixing the rest.
 #
-# During the walk each image is one bytes object with a slot of `width`
-# bytes per letter.  The slot of x_g is the palindrome d_0 d_1 .. d_k .. d_1
-# d_0 of g's 7-bit digits (d_0 lowest, width = 2k + 1), each shifted up one
-# bit; bit 0 of every byte is the sign, set for x_g^-1.  Reversing an
-# image's bytes therefore reverses its letters and keeps each slot whole,
-# and flipping every bit 0 inverts the letters: the inverse of an image is
-# image[::-1].translate(_FLIP) at every width.  One byte holds g <= 127.
+# During the walk each image is one bytes object, one byte per letter: 2g
+# for x_g and 2g + 1 for x_g^-1.  Reversing an image's bytes reverses its
+# letters and flipping every bit 0 inverts them, so the inverse of an image
+# is image[::-1].translate(_FLIP).  One byte holds g <= ARTIN_MAX_STRANDS.
 
 FreeWord = tuple[tuple[int, int], ...]  # (generator index 1..n, sign +-1)
 
+ARTIN_MAX_STRANDS = 127
+
 _FLIP = bytes(b ^ 1 for b in range(256))
-# A slot byte's 7-bit digit; a list, since a list's __getitem__ is a direct
-# method and mapping it is about twice as fast as a tuple's.
-_DIGIT = [b >> 1 for b in range(256)]
+# The (generator, sign) letter of each byte, shared by every image.
+_LETTERS = tuple((b >> 1, -1 if b & 1 else 1) for b in range(256))
 
 
 class ArtinBudgetError(RuntimeError):
@@ -413,39 +406,16 @@ class ArtinBudgetError(RuntimeError):
     reduction."""
 
 
-def _generators(n: int, width: int) -> bytes:
-    """The slots of x_1 .. x_n in order, laid out digit by digit."""
-    slots = bytearray(n * width)
-    for t in range(width // 2 + 1):
-        slots[t::width] = slots[width - 1 - t::width] = bytes(
-            (g >> 7 * t & 127) << 1 for g in range(1, n + 1))
-    return bytes(slots)
-
-
-def _decode(image: bytes, width: int, n: int) -> FreeWord:
-    """The (generator, sign) letters of an image on n strands, with no
-    Python-level loop over them.  A slot's outer byte plus its inner digits
-    shifted into place is the code 2g + 1 for x_g^-1 and 2g for x_g, an
-    index into one table of the letters, so each letter is a shared pair."""
-    codes = image[::width]
-    for t in range(1, width // 2 + 1):
-        codes = map(operator.add, codes, map(operator.lshift, map(
-            _DIGIT.__getitem__, image[t::width]), repeat(7 * t + 1)))
-    letters = list(product(range(n + 1), (1, -1)))
-    return tuple(map(letters.__getitem__, codes))
-
-
-def _cancelled(u_inv: bytes, v: bytes, width: int) -> int:
-    """The bytes that cancel from each side of the product u v of reduced
-    images, given u^-1: the common prefix of u^-1 and v in whole slots,
-    where the two differ in the highest set bit of their XOR."""
-    if u_inv[:width] != v[:width]:
+def _cancelled(u_inv: bytes, v: bytes) -> int:
+    """The letters that cancel from each side of the product u v of reduced
+    images, given u^-1: the common prefix of u^-1 and v, where the two
+    differ in the highest set bit of their XOR."""
+    if u_inv[:1] != v[:1]:
         return 0
     size = min(len(u_inv), len(v))
     diff = int.from_bytes(u_inv[:size], "big") ^ \
         int.from_bytes(v[:size], "big")
-    same = size - (diff.bit_length() + 7 >> 3)
-    return same - same % width
+    return size - (diff.bit_length() + 7 >> 3)
 
 
 class FreeAut(namedtuple("FreeAut", "n images")):
@@ -472,43 +442,39 @@ def artin_apply(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
     """Compose the letter automorphisms of a classical word.  Faithfulness:
     the result is the identity automorphism iff the braid is trivial.
 
-    Each image is one bytes object, a fixed-width slot per letter, kept
-    freely reduced with its inverse beside it.  A letter conjugates one
-    image by another, a b a^-1, in two products of reduced words; each
-    cancels only at its junction, as many slots as the left factor's
-    inverse shares with the right factor as a prefix, found from the XOR of
-    the two prefixes read as ints.  The new image's inverse is its bytes
-    reversed with every sign flipped.  Image lengths can grow exponentially
-    with word length; exceeding the per-image budget raises
-    ArtinBudgetError, naming the length and the letter reached.  The n
-    images are laid out first, so n is capped at MAX_WORD_LETTERS.
+    Each image is one bytes object, a byte per letter, kept freely reduced
+    with its inverse beside it.  A letter conjugates one image by another,
+    a b a^-1, in two products of reduced words; each cancels only at its
+    junction, as many letters as the left factor's inverse shares with the
+    right factor as a prefix, found from the XOR of the two prefixes read
+    as ints.  The new image's inverse is its bytes reversed with every sign
+    flipped.  Image lengths can grow exponentially with word length;
+    exceeding the per-image budget raises ArtinBudgetError, naming the
+    length and the letter reached.  A byte holds generators up to
+    ARTIN_MAX_STRANDS, so n is capped there before any image is built.
     """
     if w.flavor.group != CLASSICAL:
         raise WordError(f"the Artin action needs a classical word, got {w.flavor!r}")
     n = w.n
-    if n > MAX_WORD_LETTERS:
+    if n > ARTIN_MAX_STRANDS:
         raise WordError(f"Artin action on {n} strands is over the cap of "
-                        f"{MAX_WORD_LETTERS}")
-    width = (n.bit_length() - 1) // 7 * 2 + 1  # 1, 3, 5 for 7, 14, 21 bits
-    plus = _generators(n, width)
-    minus = plus.translate(_FLIP)
-    images = [plus[k:k + width] for k in range(0, len(plus), width)]
-    inverses = [minus[k:k + width] for k in range(0, len(minus), width)]
-    limit = budget * width
+                        f"{ARTIN_MAX_STRANDS}")
+    images = [bytes((g,)) for g in range(2, 2 * n + 2, 2)]
+    inverses = [bytes((g,)) for g in range(3, 2 * n + 3, 2)]
     for position, (_, index, sign) in enumerate(w.letters, start=1):
         i, j = index - 1, index  # 0-based
         if sign == 1:  # x_i -> a b a^-1 with a = x_i, b = x_j; x_j -> x_i
             a, a_inv, b, b_inv = images[i], inverses[i], images[j], inverses[j]
         else:  # x_j -> a b a^-1 with a = x_j^-1, b = x_i; x_i -> x_j
             a, a_inv, b, b_inv = inverses[j], images[j], images[i], inverses[i]
-        m = _cancelled(b_inv, a_inv, width)
+        m = _cancelled(b_inv, a_inv)
         c = b[:len(b) - m] + a_inv[m:]
-        m = _cancelled(a_inv, c, width)
+        m = _cancelled(a_inv, c)
         new = a[:len(a) - m] + c[m:]
-        if len(new) > limit:  # a, moved whole, is one letter or was checked
+        if len(new) > budget:  # a, moved whole, is one letter or was checked
             raise ArtinBudgetError(
-                f"image length {len(new) // width} exceeded budget of "
-                f"{budget} letters at letter {position} of {len(w)}")
+                f"image length {len(new)} exceeded budget of {budget} "
+                f"letters at letter {position} of {len(w)}")
         new_inv = new[::-1].translate(_FLIP)
         if sign == 1:
             images[i], inverses[i], images[j], inverses[j] = \
@@ -516,11 +482,11 @@ def artin_apply(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
         else:
             images[i], inverses[i], images[j], inverses[j] = \
                 a_inv, a, new, new_inv
-    # decode all images in one pass, then cut at their letter offsets
-    letters = _decode(b"".join(images), width, n)
-    cuts = [0, *accumulate(len(image) // width for image in images)]
-    return FreeAut(n, tuple(letters[lo:hi]
-                            for lo, hi in zip(cuts, cuts[1:])))
+    # through a list: tuple(map(...)) grows its tuple by reallocation,
+    # slower on long images and with a higher peak RSS on the verify
+    # benchmark
+    return FreeAut(n, tuple(tuple([_LETTERS[b] for b in image])
+                            for image in images))
 
 
 # ---------------------------------------------------------------------------

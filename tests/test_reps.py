@@ -36,6 +36,7 @@ from mnmap.laurent import (
     T_INV,
 )
 from mnmap.reps import (
+    ARTIN_MAX_STRANDS,
     ArtinBudgetError,
     FreeAut,
     ReductionCapError,
@@ -49,7 +50,6 @@ from mnmap.reps import (
 )
 from mnmap.words import (
     CLASSICAL,
-    MAX_WORD_LETTERS,
     SIGMA,
     TAU,
     ZETA,
@@ -1081,17 +1081,16 @@ class TestArtin:
                     w = w * u * pair * v
             assert_artin_matches_reference(w, kwargs)
 
-    # The slot width grows from 1 to 3 bytes at 128 strands and from 3 to 5
-    # at 16384.  Letters at the top indices and around 127/128 draw on
-    # generators with every digit of a wide slot in use; every other word
-    # is trivial, u s_i^e s_i^-e u^-1 blocks, so whole images cancel.
+    # The most strands a byte per letter holds.  Letters at the top indices
+    # draw on the largest generators, x_127 and x_127^-1 taking the top
+    # bytes 254 and 255; every other word is trivial, u s_i^e s_i^-e u^-1
+    # blocks, so whole images cancel.
     @pytest.mark.parametrize("budget", [None, 1, 2, 5, 50])
-    @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
+    @pytest.mark.parametrize("n", [ARTIN_MAX_STRANDS])
     def test_wide_slots_match_whole_word_reduction(self, n, budget):
         rng = random.Random(n)
         kwargs = {} if budget is None else {"budget": budget}
-        indices = sorted({1, 125, 126, 127, 128, 129, n - 4, n - 3, n - 2,
-                          n - 1} & set(range(1, n)))
+        indices = [1, n - 4, n - 3, n - 2, n - 1]
         for trial in range(6):
             letters = []
             while len(letters) < 16:
@@ -1105,24 +1104,24 @@ class TestArtin:
             assert_artin_matches_reference(Word(classical(n), letters),
                                            kwargs)
 
-    # The slots of x_g and x_{g+128} share their outer byte, and at 5 bytes
-    # those of x_g and x_{g+16384} their outer two.  Conjugating by
-    # s_1 .. s_m sets such generators side by side in one image, where a
-    # common prefix can end inside a slot: those bytes must not cancel.
-    @pytest.mark.parametrize("n, m", [(131, 129), (16390, 129),
-                                      (16390, 16385)])
-    def test_prefix_inside_a_slot_does_not_cancel(self, n, m):
-        c = [sigma(i) for i in range(1, m + 1)]
-        c_inv = [letter.inverse() for letter in reversed(c)]
-        for middle in ([sigma(m)], [sigma(m + 1)], [sigma(2, -1), sigma(m)]):
-            assert_artin_matches_reference(
-                Word(classical(n), c + middle + c_inv), {})
+    def test_top_generators_match_reference(self):
+        # sigma_125 and sigma_126 move x_125 .. x_127, the highest
+        # generators a byte holds.  The images grow to 67 letters and
+        # cancel back to the generators, so every budget below 67 overruns
+        # and 67 does not.
+        u = parse_word("s125 s126^-1", classical(ARTIN_MAX_STRANDS)) ** 4
+        w = u * u.inverse()
+        for budget in [None, *range(1, 68)]:
+            kwargs = {} if budget is None else {"budget": budget}
+            assert_artin_matches_reference(w, kwargs)
+        assert artin_apply(w).is_identity()
 
     def test_strand_count_capped_before_layout(self):
-        w = Word(classical(MAX_WORD_LETTERS + 1))
+        w = Word(classical(ARTIN_MAX_STRANDS + 1))
         tracemalloc.start()
         try:
-            with pytest.raises(WordError, match=f"cap of {MAX_WORD_LETTERS}"):
+            with pytest.raises(WordError,
+                               match=f"cap of {ARTIN_MAX_STRANDS}$"):
                 artin_apply(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
