@@ -9,16 +9,17 @@ overran the handle-reduction step cap).
 For pk / mn / search / defect, --n is the codomain strand count; the word
 argument lives on n+1 strands.
 """
+# The docstring above is also the description that `mnmap --help` prints.
+# A well-formed command line is read straight from the subcommand table
+# (_fast_args); help, usage errors, abbreviated options and --opt=value go
+# through argparse (_build_parser), which prints the same help and errors
+# either way.
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import kernel, maps, reps, words
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # one-line diagnostic, exit 2
-        raise UsageError(message)
 
 
 class UsageError(Exception):
@@ -72,12 +73,20 @@ _WORD_MAP_NOTE = (
     "the kernel of the word map, not of a homomorphism on PB_{n+1}.")
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The top-level parser, with a subparser for `command` alone when it
-    names a subcommand and for every subcommand otherwise.  A subcommand's
-    usage, --help and errors come from its own subparser either way, and
-    building the other eleven would cost every command-line start a few
+def _build_parser(command: str | None = None):
+    """The argparse parser, for the command lines that `_fast_args` leaves
+    to it: help, usage errors and the shapes it does not read.  It has a
+    subparser for `command` alone when that names a subcommand and for every
+    subcommand otherwise.  A subcommand's usage, --help and errors come from
+    its own subparser either way.  argparse is imported here, since its
+    import and the build cost a well-formed command line a few
     milliseconds."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # one-line diagnostic, exit 2
+            raise UsageError(message)
+
     parser = _Parser(prog="mnmap", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,6 +98,50 @@ def _build_parser(command: str | None = None) -> _Parser:
         for argument in arguments:
             p.add_argument(argument, **_ARGUMENTS.get(argument, _REQUIRED_INT))
     return parser
+
+
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for `argv`, when `argv` is a subcommand
+    name followed by its exact option names, each once with a value that
+    does not start with "-", and at most one word, which does not start with
+    "-" either; every required argument present, every int and choice valid.
+    None for any other command line."""
+    spec = next((spec for spec in _COMMANDS if argv and spec[0] == argv[0]),
+                None)
+    if spec is None:
+        return None
+    arguments = spec[2]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            value = next(tokens, "-")
+            if (token not in arguments or token in given
+                    or value.startswith("-")):
+                return None
+            given[token] = value
+        elif "word" in arguments and "word" not in given:
+            given["word"] = token
+        else:
+            return None
+    args = {"command": spec[0]}
+    for argument in arguments:
+        options = _ARGUMENTS.get(argument, _REQUIRED_INT)
+        if argument not in given:
+            if "default" not in options:  # the word, or a required int
+                return None
+            value = options["default"]
+        else:
+            value = given[argument]
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except ValueError:
+                    return None
+            if value not in options.get("choices", (value,)):
+                return None
+        args[argument.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**args)
 
 
 def _dumps(obj) -> str:
@@ -108,7 +161,7 @@ def _emit_matrix(matrix, fmt: str) -> str:
     return str(matrix)
 
 
-def _run(args: argparse.Namespace) -> tuple[int, str]:
+def _run(args: SimpleNamespace) -> tuple[int, str]:
     fmt = args.format
     if args.command == "reduce":
         w = words.parse_word(args.word, words.Flavor(args.flavor, args.n))
@@ -171,11 +224,15 @@ def _emit_report(report: kernel.VerificationReport, fmt: str) -> tuple[int, str]
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line (sys.argv[1:] by default), print its output and
+    return its exit code.  `_fast_args` reads a well-formed line; any other
+    goes to argparse, which prints help and exits, or raises UsageError."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _fast_args(argv)
+        if args is None:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
         code, output = _run(args)
     except (UsageError, ValueError) as err:  # word, purity, support errors
         print(f"error: {err}", file=sys.stderr)

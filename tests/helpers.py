@@ -64,6 +64,27 @@ def random_pure_word(rng: random.Random, flavor: Flavor, blocks: int) -> Word:
     return word
 
 
+def known_kernel_word(n: int, k: int, h: Word, length: int,
+                      rng: random.Random) -> tuple[Word, Word]:
+    """A long word w = u h u^-1 that the composite map sends to exactly I,
+    and its twin: w with one letter of u^-1 flipped, whose image is not I.
+
+    h is a pure word on n+1 strands in the kernel at (k, d).  u has
+    `length` random letters sigma_i with i not in {k-1, k} and
+    1 <= k-i-1 <= n-1, each projected to sigma_{k-i-1}^{+-1}, so
+    p_k(u^-1) = p_k(u)^-1 letter for letter and mn_map(w) = I at every d.
+    The twin is pure too, since a flip keeps the permutation."""
+    indices = [i for i in range(1, n + 1)
+               if i not in (k - 1, k) and 1 <= k - i - 1 <= n - 1]
+    u = Word(h.flavor, tuple(sigma(rng.choice(indices), rng.choice((1, -1)))
+                             for _ in range(length)))
+    tail = list(u.inverse().letters)
+    at = rng.randrange(length)
+    tail[at] = tail[at].inverse()
+    twin = Word(h.flavor, u.letters + h.letters + tuple(tail))
+    return u * h * u.inverse(), twin
+
+
 def cancelling_word(rng: random.Random, flavor: Flavor, length: int) -> Word:
     """p u u^-1 q of the given length, u u^-1 about half of it: through u
     the entries grow, and u^-1 cancels them back to the image of p, so

@@ -1,15 +1,19 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_pure_word, random_word
-from mnmap import kernel, maps, reps, words
-from mnmap.cli import UsageError, _COMMANDS, _build_parser, main
+from mnmap import cli, kernel, maps, reps, words
+from mnmap.cli import UsageError, _COMMANDS, _build_parser, _fast_args, main
 from mnmap.laurent import MAX_DIMENSION, PolyMatrix
 from mnmap.maps import mn_map
 from mnmap.reps import rho_word
@@ -231,10 +235,11 @@ def subparsers(parser):
 
 
 class TestParserSurface:
-    """A command line whose first argument names a subcommand builds that
-    subparser alone; every other command line builds them all.  Compared
-    in process with the full build, since argparse's wording differs
-    between Python versions."""
+    """The argparse parser is built only for the command lines that
+    _fast_args leaves to it.  One whose first argument names a subcommand
+    builds that subparser alone; every other command line builds them all.
+    Compared in process with the full build, since argparse's wording
+    differs between Python versions."""
 
     NAMES = [name for name, _, _ in _COMMANDS]
 
@@ -283,6 +288,125 @@ class TestParserSurface:
                                           "s1 s2 s2^-1"])
         assert main() == 0
         assert capsys.readouterr() == ("s1\n", "")
+
+
+# Values for a well-formed line: small ints keep every command fast.
+_VALUES = {"word": ["s1", "s1 s2^-1", "s1^-2 s2^2", "z t1", "1 -2 1", ""],
+           "--flavor": list(cli._ARGUMENTS["--flavor"]["choices"]),
+           "--format": ["text", "json"], "--max-steps": ["0", "5"]}
+# Tokens that a mutation inserts or puts in place of another.
+_POOL = ["-1", "", " 5", "+4", "\u0663", "007", "--n=3", "--ma", "-h", "--",
+         "-1 2", "s2", "--n", "--format", "json", "x"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A well-formed line of any subcommand, options shuffled and optional
+    ones sometimes dropped, then up to three mutations: a token dropped,
+    inserted, duplicated or replaced, or an option given twice."""
+    name, _, arguments = draw(st.sampled_from(_COMMANDS))
+    pairs = [[argument, draw(st.sampled_from(_VALUES.get(argument,
+                                                         ["1", "2", "3"])))]
+             for argument in arguments if argument != "word"
+             and (argument not in cli._ARGUMENTS or draw(st.booleans()))]
+    pairs = draw(st.permutations(pairs))
+    if "word" in arguments:
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     [draw(st.sampled_from(_VALUES["word"]))])
+    argv = [name] + [token for pair in pairs for token in pair]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "insert", "duplicate", "replace",
+                                     "repeat"]))
+        at = draw(st.integers(0, len(argv) - 1))
+        token = draw(st.sampled_from(_POOL))
+        if kind == "drop":
+            del argv[at]
+        elif kind == "insert":
+            argv.insert(at, token)
+        elif kind == "duplicate":
+            argv.insert(at, argv[at])
+        elif kind == "replace":
+            argv[at] = token
+        else:
+            options = [i for i, t in enumerate(argv[:-1]) if t.startswith("--")]
+            if options:
+                i = draw(st.sampled_from(options))
+                argv += argv[i:i + 2]
+        if not argv:
+            break
+    return argv
+
+
+def _parsed(argv):
+    """What argparse makes of argv: a dict, or the type of what it raised."""
+    try:
+        return vars(_build_parser(argv[0] if argv else None).parse_args(argv))
+    except (UsageError, SystemExit) as err:
+        return type(err)
+
+
+def _main_result(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFastArgs:
+    """_fast_args reads well-formed lines without argparse and must build
+    exactly argparse's namespace; on anything else it returns None and
+    argparse parses the line, so main's output never depends on which of
+    them read it."""
+
+    @settings(max_examples=400)
+    @given(_command_lines())
+    def test_matches_argparse(self, argv):
+        fast = _fast_args(argv)
+        if fast is not None:
+            assert vars(fast) == _parsed(argv)
+        with mock.patch.object(cli, "_fast_args", lambda argv: None):
+            slow = _main_result(argv)
+        assert _main_result(argv) == slow
+
+    @pytest.mark.parametrize("optional", [True, False])
+    @pytest.mark.parametrize("name, arguments",
+                             [(name, arguments)
+                              for name, _, arguments in _COMMANDS])
+    def test_reads_every_subcommand(self, name, arguments, optional):
+        argv = [name]
+        for argument in arguments:
+            value = _VALUES.get(argument, ["2"])[-1]
+            if argument == "word":
+                argv.append(value)
+            elif optional or argument not in cli._ARGUMENTS:
+                argv += [argument, value]
+        fast = _fast_args(argv)
+        assert fast is not None and vars(fast) == _parsed(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["reduce", "--help"], ["bogus", "s1"],
+        ["--n", "3", "reduce", "s1"],
+        ["reduce", "--n=3", "s1"],                     # --opt=value
+        ["trivial", "--n", "3", "--max", "1", "s1"],   # abbreviation
+        ["reduce", "--n", "3", "--", "s1"],
+        ["reduce", "--n", "3", "--n", "3", "s1"],      # repeated option
+        ["search", "--n", "2", "--k", "1", "--d", "1", "--max-len", "-3"],
+        ["reduce", "--n", "3", "-1 2"],                # dash-led word
+        ["reduce", "--n", "3", "s1", "s2"],            # a second word
+        ["verify-thm1", "--d", "1", "s1"],             # no word taken
+        ["reduce", "--n", "x", "s1"],                  # bad int
+        ["reduce", "--n", "", "s1"],
+        ["reduce", "--n", "3", "--flavor", "virtual", "s1"],  # bad choice
+        ["reduce", "--n", "3"],                        # word missing
+        ["search", "--n", "2", "--k", "1", "--d", "1"],  # option missing
+        ["reduce", "--n", "3", "s1", "--format"],      # value missing
+        ["burau", "--n", "3", "--k", "1", "s1"],       # not its option
+    ])
+    def test_leaves_every_other_line_to_argparse(self, argv):
+        assert _fast_args(argv) is None
 
 
 class TestErrors:

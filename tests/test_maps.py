@@ -4,8 +4,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_pure_word, random_word
+from helpers import known_kernel_word, random_pure_word, random_word
 from mnmap import maps, words
+from mnmap.kernel import bigelow_alpha, lift_witness, search_kernel
 from mnmap.laurent import MAX_DIMENSION, ONE, PolyMatrix, T_INV
 from mnmap.maps import (
     PurityError,
@@ -320,6 +321,31 @@ class TestShortKernel:
         assert [(str(w), k, d) for w, k, d in cases
                 if not mn_map(w, k, d).is_identity()
                 or is_trivial_braid(w)] == []
+
+
+class TestKnownKernelWords:
+    """Long words whose composite image is the identity by construction,
+    u h u^-1 with h in the kernel, checked for exactly I; the twin with one
+    letter of u^-1 flipped must not be I.  About 4,000 letters at d = 1 and
+    1,000 at d = 2 and 3."""
+
+    @staticmethod
+    def kernel_elements(d):
+        """(n, k, h) for the three sources of h."""
+        hits = search_kernel(4, 4, d, 6)
+        return [(7, 8, parse_word("s7^14", classical(8))),
+                (4, 4, hits[-1].word),
+                (5, 6, lift_witness(bigelow_alpha()))]
+
+    @pytest.mark.parametrize("d, length", [(1, 2000), (2, 500), (3, 500)])
+    def test_image_is_identity_and_twin_is_not(self, d, length):
+        rng = random.Random(700 + d)
+        for n, k, h in self.kernel_elements(d):
+            assert mn_map(h, k, d).is_identity()
+            w, twin = known_kernel_word(n, k, h, length, rng)
+            assert len(w) == len(twin) == 2 * length + len(h)
+            assert mn_map(w, k, d).is_identity(), (n, k, d)
+            assert not mn_map(twin, k, d).is_identity(), (n, k, d)
 
 
 class TestCancellationDefect:

@@ -155,11 +155,12 @@ def test_keyword_construction():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """In a fresh interpreter, importing the CLI pulls in none of these
-    modules: each costs several milliseconds on every command-line start,
-    and json is imported only by the output that needs it."""
+    modules: each costs milliseconds on every command-line start, json is
+    imported only by the output that needs it and argparse only by the
+    command lines that the subcommand table does not read."""
     src = Path(mnmap.__file__).resolve().parents[1]
     code = ("import sys; before = set(sys.modules); import mnmap.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json'} "
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'json'} "
             "& (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-E", "-s", "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=60)
@@ -185,3 +186,44 @@ def test_cli_imports_json_only_for_output_that_needs_it(argv, out,
     proc = subprocess.run([sys.executable, "-E", "-s", "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=60)
     assert (proc.stdout, proc.stderr) == (out, f"0 {loads_json}\n")
+
+
+
+@pytest.mark.parametrize("argv, out, loads_argparse", [
+    (["reduce", "--n", "3", "s1 s2 s2^-1"], "s1\n", False),
+    (["mn", "--n", "2", "--k", "1", "--d", "1", "--format", "json",
+      "s1^-2"], '{"n": 2, "entries": [[[[0, 0, "1"]], []], '
+     '[[], [[0, 0, "1"]]]]}\n', False),
+    (["verify-thm2", "--m", "1", "--k", "1"],
+     'witness: s1^-1 s1^-1\nparams: {"m": 1, "k": 1, "d": 1}\n'
+     "image_is_identity: true\nwitness_nontrivial: true\npassed: true\n",
+     False),
+    # help, a usage error (no stdout), and shapes the table does not read
+    (["--help"], "usage: mnmap", True),
+    (["reduce", "--help"], "usage: mnmap reduce", True),
+    (["reduce", "--n", "x", "s1"], "", True),
+    (["reduce", "--n=3", "s1 s2 s2^-1"], "s1\n", True),
+    (["trivial", "--n", "3", "--max", "1", "s1"], "false\n", True),
+])
+def test_cli_imports_argparse_only_for_lines_the_table_does_not_read(
+        argv, out, loads_argparse):
+    """A well-formed command line leaves argparse, and the gettext and
+    locale imports it brings, unloaded; the other lines load argparse and
+    print what it prints: help, or one error line for a usage error."""
+    src = Path(mnmap.__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); from mnmap.cli import "
+            f"main\ntry: main({argv!r})\nexcept SystemExit: pass\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} "
+            "& (set(sys.modules) - before)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    *written, loaded = proc.stderr.splitlines()
+    assert ("argparse" in loaded) is loads_argparse, proc.stderr
+    if not loads_argparse:
+        assert loaded == "[]"
+    if out.startswith("usage:"):
+        assert proc.stdout.startswith(out) and written == []
+    else:
+        assert proc.stdout == out
+        assert len(written) == (out == "") and all(
+            line.startswith("error: ") for line in written)
