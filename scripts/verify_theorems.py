@@ -26,7 +26,7 @@ def main() -> int:
             print(f"witness length: {len(report.witness)} letters")
         same = report.image == baseline
         print(f"d={d}: passed={report.passed} image_constant={same}")
-        print(f"d={d}: {elapsed:.2f}s", file=sys.stderr)
+        print(f"d={d}: {elapsed:.4f}s", file=sys.stderr)
         all_passed &= same
 
     print()

@@ -233,7 +233,9 @@ def _reduce_far(letters: Iterable[Letter], n: int) -> tuple[Letter, ...]:
     or column), and each image times its inverse image is exactly the
     identity, so rho of the result is rho of the letters.  Adjacent pairs
     are the case with nothing between, so the result is never longer than
-    the free reduction.
+    the free reduction.  rho_word walks the result; so does artin_apply,
+    since generators two or more indices apart also commute in B_n and
+    the Artin action is a homomorphism.
 
     O(1) work per letter: out holds the letters passed so far, None where
     cancelled; survivors[i] is the stack of positions of the survivors at
@@ -387,6 +389,11 @@ def burau(w: Word) -> PolyMatrix:
 # Artin action: the faithful action of the braid group on a free group.
 # sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, fixing the rest.
 #
+# The action is a homomorphism B_n -> Aut(F_n), and in B_n generators two or
+# more indices apart commute, so it walks the word reduced modulo far
+# commutation (_reduce_far) and gives the same images.  The budget bounds
+# the images built on that walk, and an overrun counts its letters.
+#
 # During the walk each image is one bytes object, one byte per letter: 2g
 # for x_g and 2g + 1 for x_g^-1.  Reversing an image's bytes reverses its
 # letters and flipping every bit 0 inverts them, so the inverse of an image
@@ -409,9 +416,8 @@ class ArtinBudgetError(RuntimeError):
 def _cancelled(u_inv: bytes, v: bytes) -> int:
     """The letters that cancel from each side of the product u v of reduced
     images, given u^-1: the common prefix of u^-1 and v, where the two
-    differ in the highest set bit of their XOR."""
-    if u_inv[:1] != v[:1]:
-        return 0
+    differ in the highest set bit of their XOR.  The caller has checked
+    that u_inv[0] == v[0], so at least one letter cancels."""
     size = min(len(u_inv), len(v))
     diff = int.from_bytes(u_inv[:size], "big") ^ \
         int.from_bytes(v[:size], "big")
@@ -442,39 +448,56 @@ def artin_apply(w: Word, budget: int = DEFAULT_ARTIN_BUDGET) -> FreeAut:
     """Compose the letter automorphisms of a classical word.  Faithfulness:
     the result is the identity automorphism iff the braid is trivial.
 
+    It walks w reduced modulo far commutation (_reduce_far): generators two
+    or more indices apart commute in B_n, and a letter times its inverse is
+    the identity, so the images are those of w itself, built in fewer
+    steps.
+
     Each image is one bytes object, a byte per letter, kept freely reduced
     with its inverse beside it.  A letter conjugates one image by another,
     a b a^-1, in two products of reduced words; each cancels only at its
-    junction, as many letters as the left factor's inverse shares with the
-    right factor as a prefix, found from the XOR of the two prefixes read
-    as ints.  The new image's inverse is its bytes reversed with every sign
-    flipped.  Image lengths can grow exponentially with word length;
-    exceeding the per-image budget raises ArtinBudgetError, naming the
-    length and the letter reached.  A byte holds generators up to
-    ARTIN_MAX_STRANDS, so n is capped there before any image is built.
+    junction.  When the left factor's inverse and the right factor start
+    with the same byte, as many letters cancel as the two share as a
+    prefix, found from the XOR of the two prefixes read as ints; otherwise
+    the factors are joined whole.  The new image's inverse is its bytes
+    reversed with every sign flipped.  Image lengths can grow exponentially
+    with word length; exceeding the per-image budget on the walk raises
+    ArtinBudgetError, naming the length and the walked letter reached, of
+    how many, and w's own length when far reduction shortened it.  A byte
+    holds generators up to ARTIN_MAX_STRANDS, so n is capped there before
+    any image is built.
     """
     if w.flavor.group != CLASSICAL:
         raise WordError(f"the Artin action needs a classical word, got {w.flavor!r}")
     n = w.n
-    if n > ARTIN_MAX_STRANDS:
+    if n > ARTIN_MAX_STRANDS:  # before _reduce_far lays out n + 1 stacks
         raise WordError(f"Artin action on {n} strands is over the cap of "
                         f"{ARTIN_MAX_STRANDS}")
+    letters = _reduce_far(w.letters, n)
     images = [bytes((g,)) for g in range(2, 2 * n + 2, 2)]
     inverses = [bytes((g,)) for g in range(3, 2 * n + 3, 2)]
-    for position, (_, index, sign) in enumerate(w.letters, start=1):
+    for position, (_, index, sign) in enumerate(letters, start=1):
         i, j = index - 1, index  # 0-based
         if sign == 1:  # x_i -> a b a^-1 with a = x_i, b = x_j; x_j -> x_i
             a, a_inv, b, b_inv = images[i], inverses[i], images[j], inverses[j]
         else:  # x_j -> a b a^-1 with a = x_j^-1, b = x_i; x_i -> x_j
             a, a_inv, b, b_inv = inverses[j], images[j], images[i], inverses[i]
-        m = _cancelled(b_inv, a_inv)
-        c = b[:len(b) - m] + a_inv[m:]
-        m = _cancelled(a_inv, c)
-        new = a[:len(a) - m] + c[m:]
+        if b_inv[0] == a_inv[0]:
+            m = _cancelled(b_inv, a_inv)
+            c = b[:len(b) - m] + a_inv[m:]
+        else:
+            c = b + a_inv
+        if a_inv[0] == c[0]:
+            m = _cancelled(a_inv, c)
+            new = a[:len(a) - m] + c[m:]
+        else:
+            new = a + c
         if len(new) > budget:  # a, moved whole, is one letter or was checked
+            shortened = (f" (w's {len(w)} letters reduced modulo far "
+                         f"commutation)" if len(letters) < len(w) else "")
             raise ArtinBudgetError(
                 f"image length {len(new)} exceeded budget of {budget} "
-                f"letters at letter {position} of {len(w)}")
+                f"letters at letter {position} of {len(letters)}{shortened}")
         new_inv = new[::-1].translate(_FLIP)
         if sign == 1:
             images[i], inverses[i], images[j], inverses[j] = \

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import timeit
@@ -1008,16 +1009,26 @@ class TestBurau:
 
 
 def assert_artin_matches_reference(w, kwargs):
-    """artin_apply gives reference_artin's images, or its exact overrun."""
+    """artin_apply walks w reduced modulo far commutation: it gives
+    reference_artin's images of the walked word, or its exact overrun, with
+    w's own length named when the walk is shorter.  Whenever the walk
+    finishes, its images are also reference_artin's of w itself at an
+    unbounded budget."""
+    walked = Word(w.flavor, reps._reduce_far(w.letters, w.n))
     try:
-        expected = reference_artin(w, **kwargs)
+        expected = reference_artin(walked, **kwargs)
     except ArtinBudgetError as err:
         with pytest.raises(ArtinBudgetError) as raised:
             artin_apply(w, **kwargs)
-        assert str(raised.value) == str(err), w
+        message = str(err)
+        if len(walked) < len(w):
+            message += (f" (w's {len(w)} letters reduced modulo far "
+                        f"commutation)")
+        assert str(raised.value) == message, w
     else:
-        assert artin_apply(w, **kwargs).image_strings() == \
-            expected.image_strings(), w
+        images = artin_apply(w, **kwargs).image_strings()
+        assert images == expected.image_strings(), w
+        assert images == reference_artin(w, budget=math.inf).image_strings(), w
 
 
 class TestArtin:
@@ -1061,6 +1072,67 @@ class TestArtin:
         assert str(raised.value) == (
             "image length 5 exceeded budget of 4 letters at letter 3 of 4")
 
+    def test_overrun_counts_the_walked_letters(self):
+        # s4 and s4^-1 cancel across s2, so the walk is s1 s2 s1 s2, which
+        # overruns a budget of 4 at its third letter as above
+        w = parse_word("s1 s4 s2 s4^-1 s1 s2", classical(5))
+        assert reps._reduce_far(w.letters, w.n) == \
+            parse_word("s1 s2 s1 s2", classical(5)).letters
+        with pytest.raises(ArtinBudgetError) as raised:
+            artin_apply(w, budget=4)
+        assert str(raised.value) == (
+            "image length 5 exceeded budget of 4 letters at letter 3 of 4 "
+            "(w's 6 letters reduced modulo far commutation)")
+
+    def test_word_the_whole_walk_overran_now_finishes(self):
+        # u s4 s4 u^-1 s3 with u = (s1 s2^-1)^12: far reduction cancels u
+        # against u^-1 across s4 s4, so the walk is s4 s4 s3.  Walking every
+        # letter, as reference_artin does, grows an image past the default
+        # budget inside u.
+        u = parse_word("s1 s2^-1", classical(5)) ** 12
+        w = u * parse_word("s4 s4", classical(5)) * u.inverse() * \
+            parse_word("s3", classical(5))
+        with pytest.raises(ArtinBudgetError) as raised:
+            reference_artin(w)
+        assert str(raised.value) == ("image length 92737 exceeded budget of "
+                                     "65536 letters at letter 23 of 51")
+        assert reps._reduce_far(w.letters, w.n) == \
+            parse_word("s4 s4 s3", classical(5)).letters
+        images = artin_apply(w).image_strings()
+        assert images == reference_artin(w, budget=math.inf).image_strings()
+        assert images == ["x1", "x2", "x3x4x5x4X5X4X3", "x3", "x4x5X4"]
+
+    # Sizes keep every image inside the default budget: words_st's 10
+    # letters at most triple an image each, and over 20,000 seeded draws
+    # of the other two the whole-word walk peaked at 375 letters for the
+    # cancelling words and 6,037 for the conjugate products.
+    @settings(max_examples=80)
+    @given(st.one_of(
+        words_st(groups=(CLASSICAL,), max_len=10),
+        st.builds(lambda seed, n, length: cancelling_word(
+            random.Random(seed), classical(n), length),
+            st.integers(0, 2 ** 32), st.integers(2, 7), st.integers(0, 24)),
+        st.builds(lambda seed, n, count: conjugate_product(
+            random.Random(seed), classical(n), count, 3),
+            st.integers(0, 2 ** 32), st.integers(2, 7), st.integers(1, 3))))
+    def test_word_and_its_far_reduction_act_alike(self, w):
+        walked = Word(w.flavor, reps._reduce_far(w.letters, w.n))
+        images = artin_apply(w).image_strings()
+        assert images == artin_apply(walked).image_strings()
+        assert images == reference_artin(w, budget=math.inf).image_strings()
+
+    @given(st.integers(0, 255), st.binary(max_size=12), st.binary(max_size=12))
+    @example(7, b"", b"")
+    @example(7, b"\x01\x02", b"\x01\x02")
+    @example(7, b"\x00" * 9, b"\x00" * 9 + b"\x01")
+    def test_cancelled_is_the_common_prefix(self, first, u_tail, v_tail):
+        u_inv, v = bytes((first,)) + u_tail, bytes((first,)) + v_tail
+        common = 0
+        while (common < min(len(u_inv), len(v))
+               and u_inv[common] == v[common]):
+            common += 1
+        assert reps._cancelled(u_inv, v) == common
+
     @pytest.mark.parametrize("budget", [None, 1, 2, 5, 50])
     def test_matches_whole_word_reduction(self, budget):
         rng = random.Random(23)
@@ -1083,8 +1155,9 @@ class TestArtin:
 
     # The most strands a byte per letter holds.  Letters at the top indices
     # draw on the largest generators, x_127 and x_127^-1 taking the top
-    # bytes 254 and 255; every other word is trivial, u s_i^e s_i^-e u^-1
-    # blocks, so whole images cancel.
+    # bytes 254 and 255; every other word is trivial, u r u^-1 blocks with
+    # r a braid relator at two adjacent top indices, so whole images cancel
+    # and far reduction, which knows no braid relation, leaves the blocks.
     @pytest.mark.parametrize("budget", [None, 1, 2, 5, 50])
     @pytest.mark.parametrize("n", [ARTIN_MAX_STRANDS])
     def test_wide_slots_match_whole_word_reduction(self, n, budget):
@@ -1096,25 +1169,42 @@ class TestArtin:
             while len(letters) < 16:
                 u = [sigma(rng.choice(indices), rng.choice((1, -1)))
                      for _ in range(rng.randint(0, 4))]
-                i, e = rng.choice(indices), rng.choice((1, -1))
-                letters += u + [sigma(i, e)]
                 if trial % 2:
-                    letters += [sigma(i, -e)] + [
+                    i = rng.choice(indices[1:-1])
+                    relator = parse_word(f"s{i} s{i + 1}^-1 s{i}^-1 "
+                                         f"s{i + 1}^-1 s{i} s{i + 1}",
+                                         classical(n))
+                    if rng.random() < 0.5:
+                        relator = relator.inverse()
+                    letters += u + list(relator) + [
                         letter.inverse() for letter in reversed(u)]
-            assert_artin_matches_reference(Word(classical(n), letters),
-                                           kwargs)
+                else:
+                    letters += u + [sigma(rng.choice(indices),
+                                          rng.choice((1, -1)))]
+            w = Word(classical(n), letters)
+            assert len(reps._reduce_far(w.letters, n)) >= 12, str(w)
+            assert_artin_matches_reference(w, kwargs)
+            if trial % 2:
+                assert artin_apply(w).is_identity()
 
     def test_top_generators_match_reference(self):
         # sigma_125 and sigma_126 move x_125 .. x_127, the highest
-        # generators a byte holds.  The images grow to 67 letters and
-        # cancel back to the generators, so every budget below 67 overruns
-        # and 67 does not.
+        # generators a byte holds.  u r u^-1, r a rotation of the braid
+        # relator s125 s126 s125 s126^-1 s125^-1 s126^-1, is trivial, but
+        # far reduction leaves all 22 letters; the images grow to 245
+        # letters and cancel back to the generators, so every budget below
+        # 245 overruns and 245 does not.
         u = parse_word("s125 s126^-1", classical(ARTIN_MAX_STRANDS)) ** 4
-        w = u * u.inverse()
-        for budget in [None, *range(1, 68)]:
+        relator = parse_word("s125 s126^-1 s125^-1 s126^-1 s125 s126",
+                             classical(ARTIN_MAX_STRANDS))
+        w = u * relator * u.inverse()
+        assert reps._reduce_far(w.letters, w.n) == w.letters
+        for budget in [None, *range(1, 246)]:
             kwargs = {} if budget is None else {"budget": budget}
             assert_artin_matches_reference(w, kwargs)
-        assert artin_apply(w).is_identity()
+        with pytest.raises(ArtinBudgetError, match="^image length 245 "):
+            artin_apply(w, budget=244)
+        assert artin_apply(w, budget=245).is_identity()
 
     def test_strand_count_capped_before_layout(self):
         w = Word(classical(ARTIN_MAX_STRANDS + 1))
