@@ -114,7 +114,9 @@ class VerificationReport(namedtuple(
 
 def _report(witness: Word, params: dict) -> VerificationReport:
     """Push the witness through the composite map at params' k and d and
-    decide its word problem by handle reduction."""
+    decide its word problem with is_trivial_braid: a nonzero exponent sum
+    (Theorem 2's sigma_k^-2m) is nontrivial at once, and handle reduction
+    decides a sum of 0 (Theorem 1's pure witness)."""
     image = mn_map(witness, k=params["k"], d=params["d"])
     return VerificationReport(
         witness=witness,

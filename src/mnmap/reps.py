@@ -548,16 +548,20 @@ class ReductionCapError(RuntimeError):
     """Step cap exceeded before the reduction terminated (inconclusive)."""
 
 
+def _check_reducible(w: Word, max_steps: int) -> None:
+    if w.flavor.group != CLASSICAL:
+        raise WordError(f"handle reduction needs a classical word, got {w.flavor!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
+
+
 def handle_reduce(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> Word:
     """Reduce handles (leftmost-innermost first) until none remain; the
     fixed selection strategy makes runs reproducible.  It starts from
     w's free reduction, reduce_onto((), w.letters), as signed ints.  More
     than max_steps reductions raise ReductionCapError, naming the word
     length at the cap and the peak length on the way."""
-    if w.flavor.group != CLASSICAL:
-        raise WordError(f"handle reduction needs a classical word, got {w.flavor!r}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
+    _check_reducible(w, max_steps)
     letters = [sign * index for _, index, sign in reduce_onto((), w.letters)]
     # The scan state of the prefix letters[:len(prev)]: last[i] is the
     # latest position of sigma_i^{+-1} there, prev[r] the one before r of
@@ -611,5 +615,12 @@ def handle_reduce(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> Word:
 
 
 def is_trivial_braid(w: Word, max_steps: int = DEFAULT_STEP_CAP) -> bool:
-    """True iff the classical word represents the identity braid."""
+    """True iff the classical word represents the identity braid.  The
+    exponent sum is a homomorphism B_n -> Z, so a word whose sum is nonzero
+    is nontrivial, decided without reduction; handle reduction decides the
+    words whose sum is 0 and may overrun max_steps on them.  The arguments
+    are checked first, as handle_reduce checks them."""
+    _check_reducible(w, max_steps)
+    if sum([sign for _, _, sign in w.letters]):
+        return False
     return len(handle_reduce(w, max_steps=max_steps)) == 0

@@ -12,7 +12,13 @@ from itertools import product
 from helpers import random_word, relation_identities
 from mnmap.kernel import bigelow_alpha, search_kernel, verify_theorem1, verify_theorem2
 from mnmap.maps import cancellation_defect, mn_map, project_pk
-from mnmap.reps import artin_apply, burau, is_trivial_braid, rho_word
+from mnmap.reps import (
+    artin_apply,
+    burau,
+    handle_reduce,
+    is_trivial_braid,
+    rho_word,
+)
 from mnmap.words import (
     CLASSICAL,
     CYLINDRICAL,
@@ -191,6 +197,8 @@ def test_criterion_10_oracle_agreement():
         for combo in product(alphabet, repeat=length):
             w = Word(flavor, combo)
             checked += 1
-            if is_trivial_braid(w) != artin_apply(w).is_identity():
+            identity = artin_apply(w).is_identity()
+            if (is_trivial_braid(w) != identity
+                    or (len(handle_reduce(w)) == 0) != identity):
                 ok = False
     report(10, "oracle agreement on B_3, length <= 6", ok, f"{checked} words")

@@ -295,8 +295,9 @@ class TestShortKernel:
     """The kernel the case table and zeta's finite order give at every k:
     rho(f_d(zeta)) has order exactly n, sigma_{k-1} maps to zeta^-1 and
     sigma_k^-1 to zeta, so sigma_{k-1}^{2n} and sigma_k^{-2n} map to the
-    identity although handle reduction calls them nontrivial.  Neither fact
-    is checked against the paper's definition of p_k."""
+    identity although their nonzero exponent sums make them nontrivial
+    braids.  Neither fact is checked against the paper's definition of
+    p_k."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("d", [1, 2, 3])

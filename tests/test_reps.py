@@ -1314,6 +1314,29 @@ class TestHandleReduction:
         with pytest.raises(ValueError, match="at least 0"):
             handle_reduce(parse_word("s1", classical(3)), max_steps=-1)
 
+    def test_arguments_checked_before_exponent_sum(self):
+        # both words have a nonzero exponent sum
+        with pytest.raises(WordError):
+            is_trivial_braid(parse_word("s1 z", cylindrical(3)))
+        with pytest.raises(ValueError, match="at least 0"):
+            is_trivial_braid(parse_word("s1", classical(3)), max_steps=-1)
+
+    def test_nonzero_sum_decided_without_reduction(self):
+        # exponent sum 2, and s1 s2 s1^-1 is a handle
+        w = parse_word("s1 s2 s1^-1 s2^-1 s1^2", classical(3))
+        assert is_trivial_braid(w, max_steps=0) is False
+        with pytest.raises(ReductionCapError):
+            handle_reduce(w, max_steps=0)
+
+    @settings(max_examples=80)
+    @given(words_st(groups=("classical",), max_n=5, max_len=12), st.data())
+    def test_agrees_with_handle_reduction(self, w, data):
+        # w has a nonzero exponent sum whenever its length is odd; w times
+        # the inverse of a shuffle of its letters always has sum 0
+        shuffled = Word(w.flavor, tuple(data.draw(st.permutations(w.letters))))
+        for u in w, w * shuffled.inverse():
+            assert is_trivial_braid(u) == (len(handle_reduce(u)) == 0)
+
 
 def assert_matches_reference(w: Word) -> int:
     """handle_reduce gives the reference's terminal word, and overruns the
@@ -1370,10 +1393,14 @@ class TestOracleAgreement:
         for length in range(0, 5):
             for combo in product(alphabet, repeat=length):
                 w = Word(flavor, combo)
-                assert is_trivial_braid(w) == artin_apply(w).is_identity()
+                identity = artin_apply(w).is_identity()
+                assert is_trivial_braid(w) == identity
+                assert (len(handle_reduce(w)) == 0) == identity
 
     def test_random_longer_words(self):
         rng = random.Random(17)
         for _ in range(300):
             w = random_word(rng, classical(3), rng.randint(7, 10))
-            assert is_trivial_braid(w) == artin_apply(w).is_identity()
+            identity = artin_apply(w).is_identity()
+            assert is_trivial_braid(w) == identity
+            assert (len(handle_reduce(w)) == 0) == identity
